@@ -4,7 +4,11 @@
 // timed under a serial KernelContext and at 1/2/4/N threads, and the
 // results — seconds per call, GFLOP/s, and speedup vs the serial baseline —
 // are written as machine-readable JSON (BENCH_kernels.json) so later PRs
-// have a perf trajectory to compare against.
+// have a perf trajectory to compare against.  A second sweep times linear
+// and attention forward/backward at the three fedbench model shapes, one
+// thread, once per supported SIMD variant: federated clients run their
+// kernels serially (nested in the round's client fan-out), so t=1 is the
+// rate a client sees.
 //
 //   bench_micro_kernels [--json=PATH] [--gbench [google-benchmark args...]]
 //
@@ -274,6 +278,88 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
   return reports;
 }
 
+// ------------------------------------------------- fedbench model shapes --
+
+struct ShapePoint {
+  std::string workload;  // fedbench workload whose model/batch this is
+  std::string kernel;
+  std::string shape;
+  std::string variant;
+  double seconds_per_call = 0.0;
+  double gflops = 0.0;
+};
+
+std::vector<ShapePoint> run_model_shapes() {
+  struct Shape {
+    const char* workload;
+    ModelConfig model;
+    int batch;  // local batch B_l
+  };
+  const Shape shapes[] = {{"sync_lan_fp32", ModelConfig::medium(), 4},
+                          {"sync_wan_q8", ModelConfig::large(), 1},
+                          {"async_secure_churn", ModelConfig::small(), 2}};
+  std::vector<ShapePoint> points;
+  for (const Shape& sh : shapes) {
+    const int b = sh.batch, t = sh.model.seq_len, c = sh.model.d_model;
+    const int oc = sh.model.expansion_ratio * c;  // MLP fc, the widest linear
+    const int nh = sh.model.n_heads, bt = b * t;
+    const auto bts = static_cast<std::size_t>(bt);
+    const auto cs = static_cast<std::size_t>(c);
+    const auto ocs = static_cast<std::size_t>(oc);
+    const auto att_n = static_cast<std::size_t>(b) * nh * t * t;
+    Rng rng(29);
+    const auto inp = gaussian(rng, bts * cs), w = gaussian(rng, ocs * cs);
+    const auto bias = gaussian(rng, ocs), dlin = gaussian(rng, bts * ocs);
+    const auto qkv = gaussian(rng, bts * 3 * cs, 0.5f);
+    const auto datt_out = gaussian(rng, bts * cs);
+    std::vector<float> out(bts * ocs), dinp(bts * cs), dw(ocs * cs), db(ocs);
+    std::vector<float> aout(bts * cs), pre(att_n), att(att_n);
+    std::vector<float> dqkv(qkv.size()), dpre(att_n), datt(att_n);
+    std::vector<float> slopes(static_cast<std::size_t>(nh));
+    k::alibi_slopes(slopes.data(), nh);
+    const double lin = 2.0 * bt * c * oc;
+    const double attn = 0.5 * b * nh * t * t * 4.0 * (c / nh);
+    char lshape[64], ashape[64];
+    std::snprintf(lshape, sizeof(lshape), "bt=%d,c=%d,oc=%d", bt, c, oc);
+    std::snprintf(ashape, sizeof(ashape), "b=%d,t=%d,c=%d,nh=%d", b, t, c,
+                  nh);
+    for (auto v : {simd::Variant::kScalar, simd::Variant::kAvx2,
+                   simd::Variant::kAvx512}) {
+      if (!simd::supported(v)) continue;
+      k::KernelContext ctx;
+      ctx.set_simd(&simd::ops(v));
+      auto add = [&](const char* kernel, const char* shape, double flops,
+                     const std::function<void()>& fn) {
+        ShapePoint p{sh.workload, kernel, shape, simd::variant_name(v)};
+        p.seconds_per_call = time_seconds_per_call(fn);
+        p.gflops = flops / p.seconds_per_call * 1e-9;
+        std::printf("  %-18s %-18s %-22s %-6s %9.3f ms  %7.2f GFLOP/s\n",
+                    p.workload.c_str(), kernel, shape, p.variant.c_str(),
+                    p.seconds_per_call * 1e3, p.gflops);
+        points.push_back(p);
+      };
+      add("linear_forward", lshape, lin, [&] {
+        k::linear_forward(ctx, out.data(), inp.data(), w.data(), bias.data(),
+                          bt, c, oc);
+      });
+      add("linear_backward", lshape, 2.0 * lin, [&] {
+        k::linear_backward(ctx, dinp.data(), dw.data(), db.data(),
+                           dlin.data(), inp.data(), w.data(), bt, c, oc);
+      });
+      add("attention_forward", ashape, attn, [&] {
+        k::attention_forward(ctx, aout.data(), pre.data(), att.data(),
+                             qkv.data(), slopes.data(), b, t, c, nh);
+      });
+      add("attention_backward", ashape, 2.0 * attn, [&] {
+        k::attention_backward(ctx, dqkv.data(), dpre.data(), datt.data(),
+                              datt_out.data(), qkv.data(), att.data(), b, t,
+                              c, nh);
+      });
+    }
+  }
+  return points;
+}
+
 // ------------------------------------------------------ MFU before/after --
 
 // Model-FLOPs utilization of a full train step (forward/backward + fused
@@ -338,6 +424,7 @@ MfuPoint measure_train_mfu(ThreadPool& pool, simd::Variant v,
 
 bool write_json(const std::string& path,
                 const std::vector<KernelReport>& reports,
+                const std::vector<ShapePoint>& shape_points,
                 const MfuPoint& mfu_before, const MfuPoint& mfu_after,
                 double peak_gflops, double mfu_flops_per_step) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -381,6 +468,18 @@ bool write_json(const std::string& path,
                    r.speedup_vs_serial, j + 1 < kr.results.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", i + 1 < reports.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"model_shapes\": [\n");
+  for (std::size_t i = 0; i < shape_points.size(); ++i) {
+    const auto& p = shape_points[i];
+    std::fprintf(f,
+                 "    {\"workload\": \"%s\", \"name\": \"%s\", "
+                 "\"shape\": \"%s\", \"variant\": \"%s\", \"threads\": 1, "
+                 "\"seconds_per_call\": %.9g, \"gflops\": %.4g}%s\n",
+                 p.workload.c_str(), p.kernel.c_str(), p.shape.c_str(),
+                 p.variant.c_str(), p.seconds_per_call, p.gflops,
+                 i + 1 < shape_points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -501,6 +600,8 @@ int main(int argc, char** argv) {
   const auto counts = thread_counts();
   ThreadPool pool(static_cast<std::size_t>(counts.back()));
   const auto reports = run_kernel_scaling(pool);
+  std::printf("fedbench model shapes (t=1, per SIMD variant)\n");
+  const auto shape_points = run_model_shapes();
 
   // Peak proxy: the best measured serial GFLOP/s across the kernel sweep
   // with the active (best) SIMD variant — not a theoretical number, so MFU
@@ -519,8 +620,8 @@ int main(int argc, char** argv) {
   const MfuPoint mfu_after =
       measure_train_mfu(pool, simd::active_variant(), peak_gflops, nullptr);
 
-  if (!write_json(json_path, reports, mfu_before, mfu_after, peak_gflops,
-                  mfu_flops)) {
+  if (!write_json(json_path, reports, shape_points, mfu_before, mfu_after,
+                  peak_gflops, mfu_flops)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

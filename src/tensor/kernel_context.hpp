@@ -14,7 +14,8 @@
 //     grain all collapse to plain inline execution with zero overhead.
 //   * Nesting safety: when the calling thread is already a ThreadPool
 //     worker (e.g. a federated round fanned clients out across the pool),
-//     effective_threads() is 1 and the kernel runs serial on that worker
+//     or a caller working its own chunk of ThreadPool::parallel_for,
+//     effective_threads() is 1 and the kernel runs serial on that thread
 //     instead of deadlocking on the shared queue or oversubscribing.
 //
 // The library default context is configured from the environment:
@@ -59,7 +60,8 @@ class KernelContext {
   void set_simd(const simd::Ops* ops) { simd_ = ops; }
 
   /// Threads usable *right now*: 1 when serial, when no pool is attached,
-  /// or when the caller is itself a pool worker (nested parallelism).
+  /// or when the caller is already inside a parallel section (nested
+  /// parallelism, see ThreadPool::on_worker_thread).
   int effective_threads() const;
 
   /// Minimum rows per shard for rows costing ~`row_cost` scalar ops each.

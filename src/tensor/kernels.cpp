@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -15,14 +16,38 @@ namespace photon::kernels {
 
 namespace {
 
-// k-dimension block for matmul: kKBlock rows of b (kKBlock * n floats) stay
-// hot in cache while every row of the shard streams over them.
-constexpr int kKBlock = 64;
-
 // l2_norm reduces over fixed-size blocks folded in block order, so the
 // summation grouping never depends on the shard layout (thread count).
 // One block is one unit of shardable work (== default grain).
 constexpr std::size_t kNormBlock = 32768;
+
+constexpr std::size_t kPanel = 16;  // outputs per packed panel
+
+// Per-thread pack buffer, grown on demand and reused across calls (pool
+// workers persist, so steady-state training allocates nothing here).
+// 64-byte aligned: every panel row is one cache line, so no 16-lane load
+// of a packed panel splits across two lines.
+float* scratch(std::size_t n) {
+  constexpr std::size_t kAlign = 64 / sizeof(float);
+  thread_local std::vector<float> buf;
+  if (buf.size() < n + kAlign) buf.resize(n + kAlign);
+  const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+  return buf.data() + ((64 - addr % 64) % 64) / sizeof(float);
+}
+
+// Pack rows [0, cnt) of src (row stride ld, k columns) into one k-major
+// panel: dst[kk*16 + o] = src[o*ld + kk], zero for o in [cnt, 16).
+void pack_panel(float* dst, const float* src, std::size_t ld, std::size_t k,
+                std::size_t cnt) {
+  for (std::size_t o = 0; o < kPanel; ++o) {
+    if (o < cnt) {
+      const float* row = src + o * ld;
+      for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kPanel + o] = row[kk];
+    } else {
+      for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kPanel + o] = 0.0f;
+    }
+  }
+}
 
 // Per-kernel FLOPs counters (set_kernel_metrics).  Null handles no-op, so
 // the un-wired cost is one branch per kernel call.
@@ -52,27 +77,16 @@ void matmul(const KernelContext& ctx, float* out, const float* a,
                      static_cast<std::uint64_t>(k) *
                      static_cast<std::uint64_t>(n));
   const simd::Ops& ops = ctx.simd();
-  const std::size_t row_cost =
-      static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-  ctx.parallel_shards(
-      static_cast<std::size_t>(m), ctx.grain_rows(row_cost),
-      [&](int, std::size_t i0, std::size_t i1) {
-        std::memset(out + i0 * n, 0, sizeof(float) * (i1 - i0) * n);
-        for (int p0 = 0; p0 < k; p0 += kKBlock) {
-          const int p1 = std::min(k, p0 + kKBlock);
-          for (std::size_t i = i0; i < i1; ++i) {
-            const float* arow = a + i * k;
-            float* orow = out + i * n;
-            // ikj loop order: each p streams one row of b into orow via
-            // axpy.  No zero-skip branch: it silently changes the FLOPs
-            // MFU accounting assumes.
-            for (int p = p0; p < p1; ++p) {
-              ops.axpy(orow, b + static_cast<std::size_t>(p) * n,
-                       static_cast<std::size_t>(n), arow[p]);
-            }
-          }
-        }
-      });
+  const std::size_t ks = static_cast<std::size_t>(k);
+  const std::size_t ns = static_cast<std::size_t>(n);
+  // out = a @ b on the register tile; each row is owned by one shard and
+  // sums p = 0..k-1 in order.
+  ctx.parallel_shards(static_cast<std::size_t>(m), ctx.grain_rows(ks * ns),
+                      [&](int, std::size_t i0, std::size_t i1) {
+                        ops.tile_gemm(out + i0 * ns, ns, a + i0 * ks, ks, 1, b,
+                                      ns, i1 - i0, ns, ks, 1.0f,
+                                      simd::Tri::kFull, false);
+                      });
 }
 
 void linear_forward(const KernelContext& ctx, float* out, const float* inp,
@@ -84,13 +98,24 @@ void linear_forward(const KernelContext& ctx, float* out, const float* inp,
   const simd::Ops& ops = ctx.simd();
   const std::size_t cs = static_cast<std::size_t>(c);
   const std::size_t ocs = static_cast<std::size_t>(oc);
-  ctx.parallel_shards(static_cast<std::size_t>(bt), ctx.grain_rows(cs * ocs),
-                      [&](int, std::size_t i0, std::size_t i1) {
-                        for (std::size_t i = i0; i < i1; ++i) {
-                          ops.linear_row(out + i * ocs, inp + i * cs, weight,
-                                         bias, cs, ocs);
-                        }
-                      });
+  const std::size_t bts = static_cast<std::size_t>(bt);
+  // Sharded over 16-output panels: each is packed once into per-thread
+  // scratch (16*c floats, L1-resident) and swept by every row.  Each output
+  // is owned by one shard and computed in a fixed order: bit-exact.
+  const std::size_t panels = (ocs + kPanel - 1) / kPanel;
+  ctx.parallel_shards(
+      panels, ctx.grain_rows(kPanel * cs * bts),
+      [&](int, std::size_t p0, std::size_t p1) {
+        float* wp = scratch(kPanel * cs);
+        for (std::size_t p = p0; p < p1; ++p) {
+          const std::size_t o = p * kPanel;
+          const std::size_t cnt = std::min(kPanel, ocs - o);
+          pack_panel(wp, weight + o * cs, cs, cs, cnt);
+          ops.panel_dot(out + o, ocs, inp, cs, bts, wp, cs, cnt,
+                        bias != nullptr ? bias + o : nullptr,
+                        simd::PanelInit::kBias, false);
+        }
+      });
 }
 
 void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
@@ -113,36 +138,30 @@ void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
   const std::size_t ocs = static_cast<std::size_t>(oc);
   const std::size_t bts = static_cast<std::size_t>(bt);
   if (dinp != nullptr) {
-    // dinp = dout @ W  (dout: (BT,OC), W: (OC,C)).  Each row of dinp is
+    // dinp += dout @ W  (dout: (BT,OC), W: (OC,C)).  Each row of dinp is
     // owned by exactly one shard: race-free and bit-exact.
     ctx.parallel_shards(bts, ctx.grain_rows(cs * ocs),
                         [&](int, std::size_t i0, std::size_t i1) {
-                          for (std::size_t i = i0; i < i1; ++i) {
-                            ops.linear_bwd_dx_row(dinp + i * cs,
-                                                  dout + i * ocs, weight, cs,
-                                                  ocs);
-                          }
+                          ops.tile_gemm(dinp + i0 * cs, cs, dout + i0 * ocs,
+                                        ocs, 1, weight, cs, i1 - i0, cs, ocs,
+                                        1.0f, simd::Tri::kFull, true);
                         });
   }
-  if (dweight != nullptr) {
-    // dW = dout^T @ inp and db = colsum(dout) reduce over BT rows; sharding
-    // over output channels gives every element a fixed row-ascending
-    // accumulation order — bit-exact at any thread count, no scratch.
-    ctx.parallel_shards(ocs, ctx.grain_rows(2 * bts * cs),
+  if (dweight != nullptr || dbias != nullptr) {
+    // dW += dout^T @ inp and db += colsum(dout) reduce over BT rows;
+    // sharding over output channels gives every element a fixed
+    // row-ascending accumulation order — bit-exact at any thread count.
+    const std::size_t row_cost = dweight != nullptr ? 2 * bts * cs : bts;
+    ctx.parallel_shards(ocs, ctx.grain_rows(row_cost),
                         [&](int, std::size_t o0, std::size_t o1) {
-                          ops.linear_bwd_wb(dweight, dbias, inp, dout, bts, cs,
-                                            ocs, o0, o1);
-                        });
-  } else if (dbias != nullptr) {
-    // Bias-only backward (no weight grad): plain column sums of dout.
-    ctx.parallel_shards(ocs, ctx.grain_rows(bts),
-                        [&](int, std::size_t o0, std::size_t o1) {
-                          for (std::size_t o = o0; o < o1; ++o) {
-                            float acc = dbias[o];
-                            for (std::size_t i = 0; i < bts; ++i) {
-                              acc += dout[i * ocs + o];
-                            }
-                            dbias[o] = acc;
+                          if (dweight != nullptr) {
+                            ops.tile_gemm(dweight + o0 * cs, cs, dout + o0, 1,
+                                          ocs, inp, cs, o1 - o0, cs, bts, 1.0f,
+                                          simd::Tri::kFull, true);
+                          }
+                          if (dbias != nullptr) {
+                            ops.col_acc(dbias + o0, dout + o0, bts, ocs,
+                                        o1 - o0);
                           }
                         });
   }
@@ -271,54 +290,48 @@ void alibi_slopes(float* slopes, int nh) {
 void attention_forward(const KernelContext& ctx, float* out, float* preatt,
                        float* att, const float* qkv, const float* slopes,
                        int b, int t, int c, int nh) {
-  const int hs = c / nh;  // head size
+  const std::size_t hs = static_cast<std::size_t>(c / nh);  // head size
   const float scale = 1.0f / std::sqrt(static_cast<float>(hs));
-  const std::size_t tt = static_cast<std::size_t>(t) * t;
+  const std::size_t ts = static_cast<std::size_t>(t);
+  const std::size_t cs = static_cast<std::size_t>(c);
+  const std::size_t tt = ts * ts;
   const std::size_t pairs = static_cast<std::size_t>(b) * nh;
-  const std::size_t pair_cost = tt * static_cast<std::size_t>(hs);
-  const std::size_t c3 = 3 * static_cast<std::size_t>(c);
+  const std::size_t pair_cost = tt * hs;
+  const std::size_t c3 = 3 * cs;
   const simd::Ops& ops = ctx.simd();
 
   // (batch, head) pairs are fully independent: each owns disjoint slices of
   // preatt/att/out, so sharding over them is race-free and bit-exact.
   ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](int, std::size_t b0,
                                                             std::size_t b1) {
+    float* panel = scratch(kPanel * hs);
     for (std::size_t bh = b0; bh < b1; ++bh) {
-      const int bi = static_cast<int>(bh) / nh;
-      const int h = static_cast<int>(bh) % nh;
-      const float slope = slopes[h];
-      const std::size_t head_off = static_cast<std::size_t>(h) * hs;
-      const float* qkv_b = qkv + static_cast<std::size_t>(bi) * t * c3;
-      const float* kbase = qkv_b + c + head_off;
-      const float* vbase = qkv_b + 2 * c + head_off;
-      float* pre_h = preatt + (static_cast<std::size_t>(bi) * nh + h) * tt;
-      float* att_h = att + (static_cast<std::size_t>(bi) * nh + h) * tt;
-      for (int ti = 0; ti < t; ++ti) {
-        const std::size_t count = static_cast<std::size_t>(ti) + 1;
-        const float* q = qkv_b + static_cast<std::size_t>(ti) * c3 + head_off;
-        float* pre_row = pre_h + static_cast<std::size_t>(ti) * t;
-        float* att_row = att_h + static_cast<std::size_t>(ti) * t;
+      const std::size_t bi = bh / static_cast<std::size_t>(nh);
+      const std::size_t h = bh % static_cast<std::size_t>(nh);
+      const std::size_t head_off = h * hs;
+      const float* qkv_b = qkv + bi * ts * c3;
+      const float* qbase = qkv_b + head_off;
+      const float* kbase = qkv_b + cs + head_off;
+      const float* vbase = qkv_b + 2 * cs + head_off;
+      float* pre_h = preatt + bh * tt;
+      float* att_h = att + bh * tt;
 
-        // Fused scores + running max: logits with ALiBi bias
-        // -slope*(ti - t2), causal mask beyond ti.
-        const float maxv =
-            ops.attn_scores_row(pre_row, q, kbase, c3, hs, count, scale,
-                                slope, static_cast<std::size_t>(ti));
-        // Fused exp + sum over the causal prefix (att keeps the exps).
-        std::memcpy(att_row, pre_row, count * sizeof(float));
-        const float sum = ops.exp_sum_f(att_row, count, maxv);
-        const float inv = sum > 0.0f ? 1.0f / sum : 0.0f;
-        ops.scale(att_row, count, inv);
-        std::memset(pre_row + count, 0,
-                    (static_cast<std::size_t>(t) - count) * sizeof(float));
-        std::memset(att_row + count, 0,
-                    (static_cast<std::size_t>(t) - count) * sizeof(float));
-
-        // Weighted sum of values.
-        float* o = out + (static_cast<std::size_t>(bi) * t + ti) * c +
-                   head_off;
-        ops.attn_av_row(o, att_row, vbase, c3, hs, count);
+      // Scores d = q.k for the causal triangle, one 16-key panel at a time:
+      // the panel of keys [t0, t0+16) only meets query rows ti >= t0.
+      for (std::size_t t0 = 0; t0 < ts; t0 += kPanel) {
+        const std::size_t cnt = std::min(kPanel, ts - t0);
+        pack_panel(panel, kbase + t0 * c3, c3, hs, cnt);
+        ops.panel_dot(pre_h + t0 * ts + t0, ts, qbase + t0 * c3, c3, ts - t0,
+                      panel, hs, cnt, nullptr, simd::PanelInit::kSet, true);
       }
+      // ALiBi bias -slope*(ti - t2), causal softmax, zeroed beyond ti.
+      for (std::size_t ti = 0; ti < ts; ++ti) {
+        ops.attn_softmax_row(pre_h + ti * ts, att_h + ti * ts, ti + 1, ts,
+                             scale, slopes[h], ti);
+      }
+      // out = att @ V over the causal prefix.
+      ops.tile_gemm(out + bi * ts * cs + head_off, cs, att_h, ts, 1, vbase,
+                    c3, ts, hs, ts, 1.0f, simd::Tri::kLower, false);
     }
   });
 }
@@ -326,51 +339,55 @@ void attention_forward(const KernelContext& ctx, float* out, float* preatt,
 void attention_backward(const KernelContext& ctx, float* dqkv, float* dpreatt,
                         float* datt, const float* dout, const float* qkv,
                         const float* att, int b, int t, int c, int nh) {
-  const int hs = c / nh;
+  const std::size_t hs = static_cast<std::size_t>(c / nh);
   const float scale = 1.0f / std::sqrt(static_cast<float>(hs));
-  const std::size_t tt = static_cast<std::size_t>(t) * t;
+  const std::size_t ts = static_cast<std::size_t>(t);
+  const std::size_t cs = static_cast<std::size_t>(c);
+  const std::size_t tt = ts * ts;
   const std::size_t pairs = static_cast<std::size_t>(b) * nh;
-  const std::size_t pair_cost = 2 * tt * static_cast<std::size_t>(hs);
-  const std::size_t c3 = 3 * static_cast<std::size_t>(c);
+  const std::size_t pair_cost = 2 * tt * hs;
+  const std::size_t c3 = 3 * cs;
   const simd::Ops& ops = ctx.simd();
 
   // Like the forward: a (batch, head) pair only ever touches the head-h
   // slice of its own batch's dqkv rows, so pairs never alias.
   ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](int, std::size_t b0,
                                                             std::size_t b1) {
+    float* panel = scratch(kPanel * hs);
     for (std::size_t bh = b0; bh < b1; ++bh) {
-      const int bi = static_cast<int>(bh) / nh;
-      const int h = static_cast<int>(bh) % nh;
-      const std::size_t head_off = static_cast<std::size_t>(h) * hs;
-      const float* qkv_b = qkv + static_cast<std::size_t>(bi) * t * c3;
-      float* dqkv_b = dqkv + static_cast<std::size_t>(bi) * t * c3;
-      const float* kbase = qkv_b + c + head_off;
-      const float* vbase = qkv_b + 2 * c + head_off;
-      float* dkbase = dqkv_b + c + head_off;
-      float* dvbase = dqkv_b + 2 * c + head_off;
-      const float* att_h = att + (static_cast<std::size_t>(bi) * nh + h) * tt;
-      float* datt_h = datt + (static_cast<std::size_t>(bi) * nh + h) * tt;
-      float* dpre_h = dpreatt + (static_cast<std::size_t>(bi) * nh + h) * tt;
-      for (int ti = 0; ti < t; ++ti) {
-        const std::size_t count = static_cast<std::size_t>(ti) + 1;
-        const float* att_row = att_h + static_cast<std::size_t>(ti) * t;
-        float* datt_row = datt_h + static_cast<std::size_t>(ti) * t;
-        float* dpre_row = dpre_h + static_cast<std::size_t>(ti) * t;
-        const float* q = qkv_b + static_cast<std::size_t>(ti) * c3 + head_off;
-        float* dq = dqkv_b + static_cast<std::size_t>(ti) * c3 + head_off;
-        const float* doh = dout +
-                           (static_cast<std::size_t>(bi) * t + ti) * c +
-                           head_off;
+      const std::size_t bi = bh / static_cast<std::size_t>(nh);
+      const std::size_t head_off = (bh % static_cast<std::size_t>(nh)) * hs;
+      const float* qkv_b = qkv + bi * ts * c3;
+      float* dqkv_b = dqkv + bi * ts * c3;
+      const float* qbase = qkv_b + head_off;
+      const float* kbase = qkv_b + cs + head_off;
+      const float* vbase = qkv_b + 2 * cs + head_off;
+      const float* doh = dout + bi * ts * cs + head_off;
+      const float* att_h = att + bh * tt;
+      float* datt_h = datt + bh * tt;
+      float* dpre_h = dpreatt + bh * tt;
 
-        // Backward through out = att @ V (datt and dV in one pass).
-        ops.attn_bwd_av_row(datt_row, dvbase, att_row, vbase, doh, c3, hs,
-                            count);
-        // Backward through softmax: dpre = att * (datt - sum(att*datt)).
-        ops.softmax_bwd_row(dpre_row, att_row, datt_row, count);
-        // Backward through q.k^T * scale (ALiBi bias is constant: no grad).
-        ops.attn_bwd_qk_row(dq, dkbase, dpre_row, kbase, q, c3, hs, count,
-                            scale);
+      // datt += dO . V^T over the causal triangle (panel dots, like the
+      // forward's q.k).
+      for (std::size_t t0 = 0; t0 < ts; t0 += kPanel) {
+        const std::size_t cnt = std::min(kPanel, ts - t0);
+        pack_panel(panel, vbase + t0 * c3, c3, hs, cnt);
+        ops.panel_dot(datt_h + t0 * ts + t0, ts, doh + t0 * cs, cs, ts - t0,
+                      panel, hs, cnt, nullptr, simd::PanelInit::kAcc, true);
       }
+      // Backward through softmax: dpre = att * (datt - sum(att*datt)).
+      for (std::size_t ti = 0; ti < ts; ++ti) {
+        ops.softmax_bwd_row(dpre_h + ti * ts, att_h + ti * ts,
+                            datt_h + ti * ts, ti + 1);
+      }
+      // dV += att^T @ dO, dQ += (dpre*scale) @ K, dK += (dpre*scale)^T @ Q,
+      // each over the causal range (the ALiBi bias is constant: no grad).
+      ops.tile_gemm(dqkv_b + 2 * cs + head_off, c3, att_h, 1, ts, doh, cs, ts,
+                    hs, ts, 1.0f, simd::Tri::kUpper, true);
+      ops.tile_gemm(dqkv_b + head_off, c3, dpre_h, ts, 1, kbase, c3, ts, hs,
+                    ts, scale, simd::Tri::kLower, true);
+      ops.tile_gemm(dqkv_b + cs + head_off, c3, dpre_h, 1, ts, qbase, c3, ts,
+                    hs, ts, scale, simd::Tri::kUpper, true);
     }
   });
 }
@@ -388,11 +405,11 @@ void embedding_forward(const KernelContext& ctx, float* out, const int* tokens,
       });
 }
 
-void embedding_backward(float* dtable, const int* tokens, const float* dout,
-                        int bt, int c) {
+void embedding_backward(const KernelContext& ctx, float* dtable,
+                        const int* tokens, const float* dout, int bt, int c) {
   // Scatter-add: different rows can hit the same token id, so this stays
   // serial (it is a tiny fraction of the step anyway).
-  const simd::Ops& ops = simd::ops();
+  const simd::Ops& ops = ctx.simd();
   for (int i = 0; i < bt; ++i) {
     float* drow = dtable + static_cast<std::size_t>(tokens[i]) * c;
     const float* dy = dout + static_cast<std::size_t>(i) * c;
@@ -566,6 +583,11 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
 void embedding_forward(float* out, const int* tokens, const float* table,
                        int bt, int c) {
   embedding_forward(default_context(), out, tokens, table, bt, c);
+}
+
+void embedding_backward(float* dtable, const int* tokens, const float* dout,
+                        int bt, int c) {
+  embedding_backward(default_context(), dtable, tokens, dout, bt, c);
 }
 
 void softmax_xent_forward(float* losses, float* probs, const float* logits,

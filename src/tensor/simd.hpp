@@ -18,9 +18,10 @@
 //     lane (i mod 16), and lanes fold through the fixed tree
 //     s8[j]=l[j]+l[j+8], s4[j]=s8[j]+s8[j+4], s2[j]=s4[j]+s4[j+2],
 //     s2[0]+s2[1] — never a variant-width shuffle.
-//   * Final partial blocks are padded with the op identity (0 for sums,
-//     -inf for max) or masked after the transform where the identity does
-//     not survive it (exp, squared deviation).
+//   * Final partial blocks load through per-variant masked primitives,
+//     padded with the op identity (0 for sums, -inf for max) or masked
+//     after the transform where the identity does not survive it (exp,
+//     squared deviation); masked-off lanes are never read or written.
 //   * No FMA: every variant TU and kernels.cpp compile with
 //     -ffp-contract=off and the vector paths use explicit mul+add
 //     intrinsics, so scalar and vector rounding agree.
@@ -36,6 +37,11 @@
 namespace photon::simd {
 
 enum class Variant : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// Ops::panel_dot output initialisation.
+enum class PanelInit : int { kSet = 0, kBias = 1, kAcc = 2 };
+/// Ops::tile_gemm reduction range per output row i.
+enum class Tri : int { kFull = 0, kLower = 1, kUpper = 2 };
 
 /// Function-pointer table filled by one variant TU.  All pointers are
 /// always valid.  Reduction-bearing ops follow the fixed 16-lane scheme
@@ -60,19 +66,36 @@ struct Ops {
   // sum over i of (double(x[i]) - mean)^2
   double (*sumsq_dev_pd)(const float* x, std::size_t n, double mean);
 
-  // ------------------------------------------------------------ linear ----
-  // y[o] = (bias ? bias[o] : 0) + dot(x, w + o*c) for o in [0, oc)
-  void (*linear_row)(float* y, const float* x, const float* w,
-                     const float* bias, std::size_t c, std::size_t oc);
-  // dx[p] += sum over o of dy[o] * w[o*c + p] (o ascending per element)
-  void (*linear_bwd_dx_row)(float* dx, const float* dy, const float* w,
-                            std::size_t c, std::size_t oc);
-  // Column-sharded dW/db: for o in [o0, o1): dw[o*c+p] += dy[t*oc+o]*x[t*c+p]
-  // and db[o] += dy[t*oc+o], accumulating t = 0..bt-1 in order for every
-  // output — bit-identical for any [o0, o1) split.  db may be nullptr.
-  void (*linear_bwd_wb)(float* dw, float* db, const float* x, const float* dy,
-                        std::size_t bt, std::size_t c, std::size_t oc,
-                        std::size_t o0, std::size_t o1);
+  // --------------------------------------------------------- GEMM core ----
+  // The register-blocked loops behind every matrix product of the training
+  // step (DESIGN.md §10).  Both keep each output element's accumulation
+  // order fixed, so results do not depend on the tile shape either.
+  //
+  // Packed-panel dot (linear forward, tied LM head, attention q.k, v.dO).
+  // wp is a k-major panel of 16 outputs, wp[kk*16 + o] = W[o][kk] (zero
+  // beyond cnt outputs).  For r in [0, rows) and o in [0, n_r):
+  //   y[r*ldy + o] = init + dot16(x + r*ldx, W[o], k)
+  // dot16 is the fixed 16-lane dot (element kk into lane kk mod 16, lanes
+  // folded by the 8-4-2-1 tree, like dot()); init is nothing (kSet),
+  // bias[o] or 0.0f when bias is null (kBias), or y's old value (kAcc).
+  // n_r = cnt, or min(cnt, r + 1) when causal.
+  void (*panel_dot)(float* y, std::size_t ldy, const float* x,
+                    std::size_t ldx, std::size_t rows, const float* wp,
+                    std::size_t k, std::size_t cnt, const float* bias,
+                    PanelInit init, bool causal);
+  // Register-tiled GEMM (linear dx/dW, matmul, attention att.V, dV, dQ,
+  // dK).  For i in [0, rows) and p in [0, cols):
+  //   c[i*ldc + p] = (accumulate ? c[i*ldc + p] : 0)
+  //                  + a(i,kk)*b[kk*ldb + p] for kk in K(i), ascending
+  // with a(i,kk) = a[i*ari + kk*ark] * scale (no multiply when scale == 1)
+  // and K(i) = [0, kn) (kFull), [0, i] (kLower), [i, kn) (kUpper).
+  void (*tile_gemm)(float* c, std::size_t ldc, const float* a,
+                    std::size_t ari, std::size_t ark, const float* b,
+                    std::size_t ldb, std::size_t rows, std::size_t cols,
+                    std::size_t kn, float scale, Tri tri, bool accumulate);
+  // dst[o] += x[r*ld + o] for r ascending, o in [0, n) (bias gradients).
+  void (*col_acc)(float* dst, const float* x, std::size_t rows,
+                  std::size_t ld, std::size_t n);
 
   // --------------------------------------------------------- layernorm ----
   // y[p] = (x[p] - mean) * rstd * gamma[p] + beta[p]
@@ -108,33 +131,19 @@ struct Ops {
                         const float* dy, std::size_t rows, std::size_t c);
 
   // ------------------------------------------------- softmax / attention --
-  // pre[t2] = dot(q, k_t2)*scale - slope*(ti - t2) for t2 in [0, count);
-  // returns the running max.
-  float (*attn_scores_row)(float* pre, const float* q, const float* kbase,
-                           std::size_t kstride, std::size_t hs,
-                           std::size_t count, float scale, float slope,
+  // One causal attention row after the q.k panel dots: on entry pre holds
+  // d[t2] = dot16(q, k_t2); on exit pre[t2] = d*scale - slope*(ti - t2) and
+  // att = softmax(pre) (float 16-lane exp sum, then a scale by 1/sum) over
+  // [0, count), and both rows are zero on [count, t).
+  void (*attn_softmax_row)(float* pre, float* att, std::size_t count,
+                           std::size_t t, float scale, float slope,
                            std::size_t ti);
-  // x[i] = exp(x[i] - maxv); returns the float 16-lane sum.
-  float (*exp_sum_f)(float* x, std::size_t n, float maxv);
   // probs[i] = exp(logits[i] - maxv); returns the double 16-lane sum.
   double (*exp_sum_pd)(float* probs, const float* logits, std::size_t n,
                        float maxv);
-  // o[p] = sum over t2 of att[t2] * v_t2[p] (o zeroed first, t2 in order)
-  void (*attn_av_row)(float* o, const float* att, const float* vbase,
-                      std::size_t vstride, std::size_t hs, std::size_t count);
-  // datt[t2] += dot(v_t2, doh); dv_t2[p] += att[t2]*doh[p]
-  void (*attn_bwd_av_row)(float* datt, float* dvbase, const float* att,
-                          const float* vbase, const float* doh,
-                          std::size_t vstride, std::size_t hs,
-                          std::size_t count);
   // dpre[t2] += att[t2] * (datt[t2] - dot(att, datt))
   void (*softmax_bwd_row)(float* dpre, const float* att, const float* datt,
                           std::size_t count);
-  // g = dpre[t2]*scale; dq[p] += g*k_t2[p]; dk_t2[p] += g*q[p]
-  void (*attn_bwd_qk_row)(float* dq, float* dkbase, const float* dpre,
-                          const float* kbase, const float* q,
-                          std::size_t kstride, std::size_t hs,
-                          std::size_t count, float scale);
 
   // ---------------------------------------------------------- optimizer --
   // Fused AdamW step over pre-clipped grads g*gscale:

@@ -1,5 +1,6 @@
 // AVX2 variant of the SIMD op table: 16 float lanes as 2x__m256, 16 double
-// lanes as 4x__m256d, 16 int32 lanes as 2x__m256i.  Compiled with
+// lanes as 4x__m256d, 16 int32 lanes as 2x__m256i, 16 uint64 lanes as
+// 4x__m256i.  Compiled with
 // -mavx2 -ffp-contract=off (see photon_mark_simd_sources in the top-level
 // CMakeLists); no FMA intrinsics are used so results match the scalar TU
 // bit-for-bit.
@@ -31,6 +32,17 @@ struct vi {
   __m256i a;  // lanes 0-7
   __m256i b;  // lanes 8-15
 };
+struct vu {
+  __m256i r[4];  // lanes 0-3, 4-7, 8-11, 12-15
+};
+
+// GEMM-core tile shape (simd_kernels.inl), sized for 16 ymm registers: a
+// vf is two ymm, so the panel dot keeps 4 lane accumulators (8 ymm) live
+// per pass and the register tile is 4 rows x 1 vector (8 ymm).
+constexpr int kPanelRows = 2;
+constexpr std::size_t kPanelGroup = 2;
+constexpr int kTileRows = 4;
+constexpr int kTileVecs = 1;
 
 inline vf f_load(const float* p) {
   return {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8)};
@@ -113,6 +125,34 @@ inline vf i8_to_f(const std::int8_t* p) {
           _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(hi))};
 }
 
+// Masked tails: lanes >= cnt are neither read nor written (vmaskmovps does
+// not fault on masked-off lanes); masked-off load lanes take `pad`.  The
+// upper half is touched only when cnt > 8, so p + 8 stays inside the buffer.
+inline __m256i half_mask(std::size_t cnt, int first) {
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(cnt) - first),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline __m256 masked_half(const float* p, std::size_t cnt, int first,
+                          __m256 pad) {
+  const __m256i m = half_mask(cnt, first);
+  return _mm256_blendv_ps(pad, _mm256_maskload_ps(p, m),
+                          _mm256_castsi256_ps(m));
+}
+inline vf f_load_partial(const float* p, std::size_t cnt, float pad) {
+  const __m256 vp = _mm256_set1_ps(pad);
+  return {masked_half(p, cnt, 0, vp),
+          cnt > 8 ? masked_half(p + 8, cnt, 8, vp) : vp};
+}
+inline void f_store_partial(float* p, vf v, std::size_t cnt) {
+  _mm256_maskstore_ps(p, half_mask(cnt, 0), v.a);
+  if (cnt > 8) _mm256_maskstore_ps(p + 8, half_mask(cnt, 8), v.b);
+}
+inline vf f_keep(vf v, std::size_t cnt) {
+  return {_mm256_and_ps(v.a, _mm256_castsi256_ps(half_mask(cnt, 0))),
+          _mm256_and_ps(v.b, _mm256_castsi256_ps(half_mask(cnt, 8)))};
+}
+
 inline vd d_load(const double* p) {
   return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4), _mm256_loadu_pd(p + 8),
           _mm256_loadu_pd(p + 12)};
@@ -165,6 +205,63 @@ inline vf d_narrow(vd x) {
   const __m128 hi0 = _mm256_cvtpd_ps(x.r2);
   const __m128 hi1 = _mm256_cvtpd_ps(x.r3);
   return {_mm256_set_m128(lo1, lo0), _mm256_set_m128(hi1, hi0)};
+}
+
+// One op per ymm quarter, written out through u_map so every quarter stays
+// in a register (a loop here is not unrolled at -O2 and spills to memory).
+template <typename F>
+inline vu u_map(F f) {
+  return {{f(0), f(1), f(2), f(3)}};
+}
+inline vu u_load(const std::uint64_t* p) {
+  return u_map([p](int j) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * j));
+  });
+}
+inline void u_store(std::uint64_t* p, vu v) {
+  for (int j = 0; j < 4; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 4 * j), v.r[j]);
+  }
+}
+inline vu u_set1(std::uint64_t x) {
+  const __m256i v = _mm256_set1_epi64x(static_cast<long long>(x));
+  return {{v, v, v, v}};
+}
+inline vu u_add(vu a, vu b) {
+  return u_map([&](int j) { return _mm256_add_epi64(a.r[j], b.r[j]); });
+}
+inline vu u_sub(vu a, vu b) {
+  return u_map([&](int j) { return _mm256_sub_epi64(a.r[j], b.r[j]); });
+}
+inline vu u_xor(vu a, vu b) {
+  return u_map([&](int j) { return _mm256_xor_si256(a.r[j], b.r[j]); });
+}
+template <int N>
+inline vu u_shr(vu a) {
+  return u_map([&](int j) { return _mm256_srli_epi64(a.r[j], N); });
+}
+// Exact a*b mod 2^64 from 32x32->64 vpmuludq products:
+//   lo(a)*lo(b) + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32).
+inline vu u_mul(vu a, vu b) {
+  return u_map([&](int j) {
+    const __m256i ll = _mm256_mul_epu32(a.r[j], b.r[j]);
+    const __m256i hl = _mm256_mul_epu32(_mm256_srli_epi64(a.r[j], 32), b.r[j]);
+    const __m256i lh = _mm256_mul_epu32(a.r[j], _mm256_srli_epi64(b.r[j], 32));
+    return _mm256_add_epi64(ll,
+                            _mm256_slli_epi64(_mm256_add_epi64(hl, lh), 32));
+  });
+}
+// AVX2 has no packed double->int64 conversion: round each lane with llrint
+// (nearest-even under the default fenv mode, as in the other variants).
+inline vu d_to_u_nearest(vd x) {
+  alignas(32) double d[16];
+  alignas(32) std::uint64_t q[16];
+  d_store(d, x);
+  for (int j = 0; j < 16; ++j) {
+    q[j] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(std::llrint(d[j])));
+  }
+  return u_load(q);
 }
 
 #include "simd_kernels.inl"

@@ -1,8 +1,10 @@
 // AVX-512 variant of the SIMD op table: 16 float lanes as one __m512, 16
-// double lanes as 2x__m512d, 16 int32 lanes as one __m512i.  Compiled with
-// -mavx512f -mavx512dq -ffp-contract=off (photon_mark_simd_sources); the DQ
-// extension supplies extractf32x8/insertf32x8 for the fixed fold tree.  No
-// FMA intrinsics, so results match the scalar TU bit-for-bit.
+// double lanes as 2x__m512d, 16 int32 lanes as one __m512i, 16 uint64 lanes
+// as 2x__m512i.  Compiled with -mavx512f -mavx512dq -ffp-contract=off
+// (photon_mark_simd_sources); the DQ extension supplies extractf32x8/
+// insertf32x8 for the fixed fold tree and vpmullq/vcvtpd2qq for the
+// secure-aggregation ring.  No FMA intrinsics, so results match the scalar
+// TU bit-for-bit.
 
 #include "tensor/simd.hpp"
 
@@ -27,6 +29,18 @@ struct vd {
 struct vi {
   __m512i v;
 };
+struct vu {
+  __m512i lo;  // lanes 0-7
+  __m512i hi;  // lanes 8-15
+};
+
+// GEMM-core tile shape (simd_kernels.inl), sized for 32 zmm registers: the
+// panel dot keeps 3 rows x 8 lane accumulators (24 zmm) live per pass, and
+// the register tile is 4 rows x 4 vectors (16 zmm).
+constexpr int kPanelRows = 3;
+constexpr std::size_t kPanelGroup = 8;
+constexpr int kTileRows = 4;
+constexpr int kTileVecs = 4;
 
 inline vf f_load(const float* p) { return {_mm512_loadu_ps(p)}; }
 inline void f_store(float* p, vf v) { _mm512_storeu_ps(p, v.v); }
@@ -84,6 +98,21 @@ inline vf i8_to_f(const std::int8_t* p) {
   return {_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw))};
 }
 
+// Masked tails: lanes >= cnt are neither read nor written (no fault past
+// the end of a buffer), and masked-off load lanes take `pad`.
+inline __mmask16 lane_mask(std::size_t cnt) {
+  return static_cast<__mmask16>((1u << cnt) - 1u);
+}
+inline vf f_load_partial(const float* p, std::size_t cnt, float pad) {
+  return {_mm512_mask_loadu_ps(_mm512_set1_ps(pad), lane_mask(cnt), p)};
+}
+inline void f_store_partial(float* p, vf v, std::size_t cnt) {
+  _mm512_mask_storeu_ps(p, lane_mask(cnt), v.v);
+}
+inline vf f_keep(vf v, std::size_t cnt) {
+  return {_mm512_maskz_mov_ps(lane_mask(cnt), v.v)};
+}
+
 inline vd d_load(const double* p) {
   return {_mm512_loadu_pd(p), _mm512_loadu_pd(p + 8)};
 }
@@ -125,6 +154,39 @@ inline vf d_narrow(vd x) {
   const __m256 lo = _mm512_cvtpd_ps(x.lo);
   const __m256 hi = _mm512_cvtpd_ps(x.hi);
   return {_mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1)};
+}
+
+inline vu u_load(const std::uint64_t* p) {
+  return {_mm512_loadu_si512(p), _mm512_loadu_si512(p + 8)};
+}
+inline void u_store(std::uint64_t* p, vu v) {
+  _mm512_storeu_si512(p, v.lo);
+  _mm512_storeu_si512(p + 8, v.hi);
+}
+inline vu u_set1(std::uint64_t x) {
+  const __m512i v = _mm512_set1_epi64(static_cast<long long>(x));
+  return {v, v};
+}
+inline vu u_add(vu a, vu b) {
+  return {_mm512_add_epi64(a.lo, b.lo), _mm512_add_epi64(a.hi, b.hi)};
+}
+inline vu u_sub(vu a, vu b) {
+  return {_mm512_sub_epi64(a.lo, b.lo), _mm512_sub_epi64(a.hi, b.hi)};
+}
+inline vu u_xor(vu a, vu b) {
+  return {_mm512_xor_si512(a.lo, b.lo), _mm512_xor_si512(a.hi, b.hi)};
+}
+template <int N>
+inline vu u_shr(vu a) {
+  return {_mm512_srli_epi64(a.lo, N), _mm512_srli_epi64(a.hi, N)};
+}
+inline vu u_mul(vu a, vu b) {
+  return {_mm512_mullo_epi64(a.lo, b.lo), _mm512_mullo_epi64(a.hi, b.hi)};
+}
+// vcvtpd2qq rounds to nearest-even under the default MXCSR mode, like
+// llrint under the default fenv mode (out of range: 0x8000000000000000).
+inline vu d_to_u_nearest(vd x) {
+  return {_mm512_cvtpd_epi64(x.lo), _mm512_cvtpd_epi64(x.hi)};
 }
 
 #include "simd_kernels.inl"

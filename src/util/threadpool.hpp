@@ -4,11 +4,12 @@
 // kernels::KernelContext, to shard individual tensor kernels.
 //
 // Nesting policy: parallel_for detects when it is invoked from a pool worker
-// thread (any pool) and runs the loop inline on the caller instead of
-// enqueueing.  This makes nested parallelism — e.g. a federated round that
-// fans clients out across the pool while each client's kernels also want the
-// pool — degrade to serial per-client compute rather than deadlocking on a
-// full task queue or oversubscribing the machine.
+// thread (any pool), or from the chunk a caller thread works itself, and runs
+// the loop inline instead of enqueueing.  This makes nested parallelism —
+// e.g. a federated round that fans clients out across the pool while each
+// client's kernels also want the pool — degrade to serial per-client compute
+// rather than deadlocking on a full task queue or oversubscribing the
+// machine.
 
 #include <condition_variable>
 #include <cstddef>
@@ -31,8 +32,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// True when the calling thread is a worker of any ThreadPool.  Used to
-  /// degrade nested parallel sections to inline execution.
+  /// True when the calling thread is a worker of any ThreadPool, or is
+  /// working its own chunk of a parallel_for.  Used to degrade nested
+  /// parallel sections to inline execution.
   static bool on_worker_thread();
 
   /// Enqueue a task; returns a future for its completion.
@@ -51,18 +53,20 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, n) across the pool and wait for all to finish.
-  /// Indices are batched into at most size() contiguous chunks (one task per
-  /// chunk, not one per index).  Safe to call from a worker thread: runs
-  /// inline instead of deadlocking.  An exception thrown by fn is captured,
-  /// every other chunk still runs to completion (joined before returning),
-  /// and the exception of the lowest-index failing chunk is rethrown on the
-  /// caller — deterministic at any thread count.
+  /// The caller and at most size() - 1 worker tasks claim indices one at a
+  /// time from a shared counter, so which thread runs an index depends on
+  /// timing; fn must not care.  The caller runs nested sections inline like
+  /// a worker.  Safe to call from a worker thread: runs inline instead of
+  /// deadlocking.  An exception thrown by fn is captured, every other index
+  /// still runs (joined before returning), and the lowest-index exception is
+  /// rethrown on the caller — deterministic at any thread count.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Chunked overload: partitions [0, n) into at most size() contiguous
   /// ranges of at least `grain` indices each and runs fn(begin, end) across
-  /// the pool.  The caller thread executes the last chunk itself.  Safe to
-  /// call from a worker thread (runs fn(0, n) inline).
+  /// the pool.  The caller thread executes the last chunk itself, with
+  /// nested sections inline like on a worker.  Safe to call from a worker
+  /// thread (runs fn(0, n) inline).
   void parallel_for(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn);

@@ -534,8 +534,7 @@ TEST_F(ParallelKernels, NestedCallFromPoolWorkerDegradesToSerial) {
   std::vector<float> want(kM * kN);
   matmul(ser_, want.data(), a.data(), b.data(), kM, kK, kN);
 
-  // submit() always lands on a worker thread (parallel_for would run some
-  // chunks inline on this caller thread, where degradation must NOT kick in).
+  // submit() always lands on a worker thread.
   std::vector<std::vector<float>> got(4, std::vector<float>(kM * kN));
   std::vector<std::future<void>> futs;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -547,6 +546,27 @@ TEST_F(ParallelKernels, NestedCallFromPoolWorkerDegradesToSerial) {
   }
   for (auto& f : futs) f.get();
   for (const auto& g : got) EXPECT_EQ(g, want);
+}
+
+TEST_F(ParallelKernels, NestedCallFromCallerChunkDegradesToSerial) {
+  // parallel_for's caller works one chunk itself; kernels it runs there are
+  // nested too and must run serial like those on the workers.
+  constexpr int kM = 6, kK = 7, kN = 5;
+  const auto a = randn(kM * kK), b = randn(kK * kN);
+  std::vector<float> want(kM * kN);
+  matmul(ser_, want.data(), a.data(), b.data(), kM, kK, kN);
+
+  std::vector<std::vector<float>> got(4, std::vector<float>(kM * kN));
+  std::vector<int> threads(got.size(), 0);
+  pool_.parallel_for(got.size(), [&](std::size_t i) {
+    threads[i] = par_.effective_threads();
+    matmul(par_, got[i].data(), a.data(), b.data(), kM, kK, kN);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(threads[i], 1) << "chunk " << i;
+    EXPECT_EQ(got[i], want);
+  }
+  EXPECT_GT(par_.effective_threads(), 1);  // outside the section again
 }
 
 TEST(AlibiSlopes, GeometricSequence) {

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -273,14 +274,16 @@ TEST(Crc32, MatchesBitwiseReference) {
 
 // ------------------------------------- end-to-end training determinism ----
 
-// Train the same tiny model under every (variant, thread count) combination
-// through the real hot path — forward/backward, fused clip+AdamW — and
-// demand byte-identical final parameters and optimizer momenta.
-TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
-  const ModelConfig mc = ModelConfig::nano();
+struct TrainedState {
+  std::vector<float> params, m, losses;
+};
+
+// Three steps of the real hot path — forward/backward, fused clip+AdamW —
+// under one (variant, thread count) context.
+TrainedState train_three_steps(const ModelConfig& mc,
+                               const k::KernelContext& ctx) {
   constexpr int kBatch = 2, kSteps = 3;
   const int seq = mc.seq_len;
-
   Rng rng(61);
   std::vector<int> tokens(kBatch * seq), targets(kBatch * seq);
   for (auto& t : tokens) t = static_cast<int>(rng.next_below(
@@ -288,49 +291,74 @@ TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) targets[i] = tokens[i + 1];
   targets.back() = -1;
 
-  ThreadPool pool(8);
-  struct Combo {
-    simd::Variant v;
-    int threads;
-  };
-  std::vector<Combo> combos;
-  for (auto v : supported_variants()) {
-    combos.push_back({v, 1});
-    combos.push_back({v, 8});
+  GptModel model(mc, /*seed=*/7);
+  model.set_kernel_context(&ctx);
+  AdamW opt(model.num_params());
+  TrainedState st;
+  for (int s = 0; s < kSteps; ++s) {
+    model.zero_grad();
+    st.losses.push_back(model.train_step_fb(tokens, targets, kBatch, seq));
+    opt.step_clipped(ctx, model.params(), model.grads(), 1e-3f,
+                     /*max_norm=*/1.0);
   }
+  st.params.assign(model.params().begin(), model.params().end());
+  st.m.assign(opt.exp_avg().begin(), opt.exp_avg().end());
+  return st;
+}
 
-  std::vector<float> ref_params, ref_m;
-  std::vector<float> ref_losses;
-  for (const auto& combo : combos) {
-    SCOPED_TRACE(std::string(simd::variant_name(combo.v)) + " threads=" +
-                 std::to_string(combo.threads));
-    k::KernelContext ctx(combo.threads > 1 ? &pool : nullptr, combo.threads,
-                         /*grain=*/64);
-    ctx.set_simd(&simd::ops(combo.v));
+std::uint32_t params_crc(const std::vector<float>& p) {
+  return crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(p.data()),
+      p.size() * sizeof(float)));
+}
 
-    GptModel model(mc, /*seed=*/7);
-    model.set_kernel_context(&ctx);
-    AdamW opt(model.num_params());
-    std::vector<float> losses;
-    for (int s = 0; s < kSteps; ++s) {
-      model.zero_grad();
-      losses.push_back(model.train_step_fb(tokens, targets, kBatch, seq));
-      opt.step_clipped(ctx, model.params(), model.grads(), 1e-3f,
-                       /*max_norm=*/1.0);
+// Train the same model under every (variant, thread count) combination and
+// demand byte-identical final parameters, optimizer momenta and losses.
+// nano() has head size 16; small() has 20 and hs24 has 24, so the masked
+// head-size tails of the attention tiles are covered too.
+TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
+  const ModelConfig hs24{2, 48, 2, 128, 32, 4};
+  ThreadPool pool(8);
+  for (const ModelConfig& mc :
+       {ModelConfig::nano(), ModelConfig::small(), hs24}) {
+    SCOPED_TRACE("d_model=" + std::to_string(mc.d_model) +
+                 " n_heads=" + std::to_string(mc.n_heads));
+    std::vector<float> ref_params, ref_m, ref_losses;
+    for (auto v : supported_variants()) {
+      for (const int threads : {1, 8}) {
+        SCOPED_TRACE(std::string(simd::variant_name(v)) + " threads=" +
+                     std::to_string(threads));
+        k::KernelContext ctx(threads > 1 ? &pool : nullptr, threads,
+                             /*grain=*/64);
+        ctx.set_simd(&simd::ops(v));
+        const TrainedState st = train_three_steps(mc, ctx);
+        if (ref_params.empty()) {
+          ref_params = st.params;
+          ref_m = st.m;
+          ref_losses = st.losses;
+        } else {
+          EXPECT_TRUE(bytes_equal(ref_params, st.params)) << "params diverged";
+          EXPECT_TRUE(bytes_equal(ref_m, st.m)) << "momenta diverged";
+          EXPECT_TRUE(bytes_equal(ref_losses, st.losses)) << "losses diverged";
+        }
+      }
     }
+  }
+}
 
-    const std::vector<float> params(model.params().begin(),
-                                    model.params().end());
-    const std::vector<float> m(opt.exp_avg().begin(), opt.exp_avg().end());
-    if (ref_params.empty()) {
-      ref_params = params;
-      ref_m = m;
-      ref_losses = losses;
-    } else {
-      EXPECT_TRUE(bytes_equal(ref_params, params)) << "params diverged";
-      EXPECT_TRUE(bytes_equal(ref_m, m)) << "momenta diverged";
-      EXPECT_TRUE(bytes_equal(ref_losses, losses)) << "losses diverged";
-    }
+// Golden value: the final-parameter CRC of three small() steps, recorded
+// with the per-row kernels the GEMM core replaced.  Catches a numerics
+// change that moves every variant together (which the cross-variant test
+// above cannot see).  A deliberate numerics change (e.g. adopting FMA) must
+// update it.
+TEST(SimdVariants, SmallModelParamsMatchRecordedCrc) {
+  constexpr std::uint32_t kRecordedCrc = 0xcaa4f660u;
+  for (auto v : supported_variants()) {
+    SCOPED_TRACE(simd::variant_name(v));
+    k::KernelContext ctx;
+    ctx.set_simd(&simd::ops(v));
+    const TrainedState st = train_three_steps(ModelConfig::small(), ctx);
+    EXPECT_EQ(params_crc(st.params), kRecordedCrc);
   }
 }
 

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
@@ -205,8 +207,8 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
   EXPECT_FALSE(ThreadPool::on_worker_thread());
   // The caller thread executes one chunk itself, so bodies run both on
-  // workers and on the caller; nested calls from workers must run inline
-  // instead of deadlocking on the shared queue.
+  // workers and on the caller; nested calls from either must run inline
+  // instead of deadlocking on the shared queue or fanning out again.
   std::atomic<int> count{0};
   std::atomic<int> on_worker{0};
   pool.parallel_for(8, [&](std::size_t) {
@@ -214,6 +216,8 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     pool.parallel_for(16, [&](std::size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 8 * 16);
+  EXPECT_EQ(on_worker.load(), 8);
+  EXPECT_FALSE(ThreadPool::on_worker_thread());  // restored after the chunk
   // submit() always lands on a worker thread.
   auto f = pool.submit([&] {
     EXPECT_TRUE(ThreadPool::on_worker_thread());
@@ -222,6 +226,31 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   f.get();
   EXPECT_FALSE(ThreadPool::on_worker_thread());
   EXPECT_EQ(count.load(), 9 * 16);
+}
+
+TEST(ThreadPool, ParallelForStalledIndexDoesNotHoldBackOthers) {
+  ThreadPool pool(4);
+  // Index 0 stalls until every other index has run.  Indices are claimed
+  // one at a time, so the other threads take all of them; under a static
+  // split, 1..3 would sit in index 0's share behind it.
+  constexpr std::size_t kN = 16;
+  std::atomic<std::size_t> others{0};
+  bool released = false;
+  pool.parallel_for(kN, [&](std::size_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others.load() < kN - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    released = others.load() == kN - 1;
+  });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(others.load(), kN - 1);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {

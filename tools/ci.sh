@@ -64,6 +64,13 @@ echo "==> [tier-1/scalar] ctest with PHOTON_SIMD=scalar"
 PHOTON_SIMD=scalar ctest --test-dir "$ROOT/build" --output-on-failure \
       -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
 
+# Same with the AVX2 table, so its masked tails and register tiles run the
+# whole suite too (not only test_simd's direct op-table calls).  On a host
+# without AVX2 the request degrades to the best supported table.
+echo "==> [tier-1/avx2] ctest with PHOTON_SIMD=avx2"
+PHOTON_SIMD=avx2 ctest --test-dir "$ROOT/build" --output-on-failure \
+      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+
 # Quantized-wire cross-check (DESIGN.md §11): re-run tier-1 with every
 # default-codec link forced to the q8 blockwise wire codec.  Exercises the
 # streamed dequantize-and-accumulate fan-in and client error feedback under
