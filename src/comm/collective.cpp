@@ -2,6 +2,11 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
+
+#include "comm/compression.hpp"
+#include "obs/trace.hpp"
+#include "util/threadpool.hpp"
 
 namespace photon {
 namespace {
@@ -15,10 +20,6 @@ void validate(const std::vector<std::span<float>>& buffers) {
       throw std::invalid_argument("collective: buffer size mismatch");
     }
   }
-}
-
-double seconds_for(std::uint64_t bytes, double bandwidth_mbps) {
-  return static_cast<double>(bytes) / (bandwidth_mbps * 1024.0 * 1024.0);
 }
 
 // Element-wise mean written back to every buffer, fused into a single pass
@@ -44,67 +45,13 @@ void mean_into_all(std::vector<std::span<float>>& buffers,
                       });
 }
 
-}  // namespace
-
-CollectiveReport ps_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                    double bandwidth_mbps,
-                                    const kernels::KernelContext& ctx) {
-  validate(buffers);
+// Ring-AllReduce dataflow: chunked reduce-scatter then all-gather with K
+// chunks, then the mean in float.
+void ring_reduce(std::vector<std::span<float>>& buffers,
+                 const kernels::KernelContext& ctx) {
   const int k = static_cast<int>(buffers.size());
   const std::size_t n = buffers.front().size();
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-
-  // Server accumulates all K updates and broadcasts the mean back.
-  mean_into_all(buffers, ctx);
-
-  CollectiveReport r;
-  r.topology = Topology::kParameterServer;
-  r.workers = k;
-  // Server moves K*S inbound (upload phase is the Eq. 2 bottleneck: K*S/B).
-  r.bottleneck_bytes = static_cast<std::uint64_t>(k) * buf_bytes;
-  r.total_bytes = 2ull * static_cast<std::uint64_t>(k) * buf_bytes;
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
-  return r;
-}
-
-CollectiveReport all_reduce_mean(std::vector<std::span<float>> buffers,
-                                 double bandwidth_mbps,
-                                 const kernels::KernelContext& ctx) {
-  validate(buffers);
-  const int k = static_cast<int>(buffers.size());
-  const std::size_t n = buffers.front().size();
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-
-  // Every worker receives every other worker's buffer and reduces locally;
-  // all workers compute the identical mean.
-  mean_into_all(buffers, ctx);
-
-  CollectiveReport r;
-  r.topology = Topology::kAllReduce;
-  r.workers = k;
-  // Eq. 3: each worker sends its model to K-1 peers -> (K-1)*S through its
-  // uplink, which is the per-worker bottleneck.
-  r.bottleneck_bytes = static_cast<std::uint64_t>(k - 1) * buf_bytes;
-  r.total_bytes = static_cast<std::uint64_t>(k) * (k - 1) * buf_bytes;
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
-  return r;
-}
-
-CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                      double bandwidth_mbps,
-                                      const kernels::KernelContext& ctx) {
-  validate(buffers);
-  const int k = static_cast<int>(buffers.size());
-  const std::size_t n = buffers.front().size();
-
-  CollectiveReport r;
-  r.topology = Topology::kRingAllReduce;
-  r.workers = k;
-
-  if (k == 1) {
-    r.seconds = 0.0;
-    return r;
-  }
+  if (k == 1) return;
 
   // Chunk boundaries: chunk c covers [starts[c], starts[c+1]).
   std::vector<std::size_t> starts(static_cast<std::size_t>(k) + 1);
@@ -171,30 +118,165 @@ CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
                           ctx.simd().scale(b.data() + begin, end - begin, inv);
                         }
                       });
+}
 
-  // Per-worker traffic: 2 * (k-1) chunk transfers of ~S/k each.
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-  r.bottleneck_bytes =
-      2ull * buf_bytes * static_cast<std::uint64_t>(k - 1) /
-      static_cast<std::uint64_t>(k);
-  r.total_bytes = r.bottleneck_bytes * static_cast<std::uint64_t>(k);
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
+}  // namespace
+
+CollectiveReport collective_cost(Topology topology, int k,
+                                 std::uint64_t member_bytes,
+                                 double bandwidth_mbps) {
+  if (k < 1) throw std::invalid_argument("collective_cost: k < 1");
+  const auto k64 = static_cast<std::uint64_t>(k);
+  CollectiveReport r;
+  r.topology = topology;
+  r.workers = k;
+  switch (topology) {
+    case Topology::kParameterServer:
+      // Server moves K*S inbound (upload phase is the Eq. 2 bottleneck).
+      r.bottleneck_bytes = k64 * member_bytes;
+      r.total_bytes = 2ull * k64 * member_bytes;
+      break;
+    case Topology::kAllReduce:
+      // Eq. 3: each worker sends its model to K-1 peers through its uplink.
+      r.bottleneck_bytes = (k64 - 1) * member_bytes;
+      r.total_bytes = k64 * (k64 - 1) * member_bytes;
+      break;
+    case Topology::kRingAllReduce:
+      // Eq. 4: 2 * (K-1) chunk transfers of ~S/K each per worker.
+      r.bottleneck_bytes = 2ull * member_bytes * (k64 - 1) / k64;
+      r.total_bytes = r.bottleneck_bytes * k64;
+      break;
+    default:
+      throw std::invalid_argument("collective_cost: bad topology");
+  }
+  r.seconds = static_cast<double>(r.bottleneck_bytes) /
+              (bandwidth_mbps * 1024.0 * 1024.0);
   return r;
+}
+
+CollectiveReport ps_all_reduce_mean(std::vector<std::span<float>> buffers,
+                                    double bandwidth_mbps,
+                                    const kernels::KernelContext& ctx) {
+  return collective_mean(Topology::kParameterServer, std::move(buffers),
+                         bandwidth_mbps, ctx);
+}
+
+CollectiveReport all_reduce_mean(std::vector<std::span<float>> buffers,
+                                 double bandwidth_mbps,
+                                 const kernels::KernelContext& ctx) {
+  return collective_mean(Topology::kAllReduce, std::move(buffers),
+                         bandwidth_mbps, ctx);
+}
+
+CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
+                                      double bandwidth_mbps,
+                                      const kernels::KernelContext& ctx) {
+  return collective_mean(Topology::kRingAllReduce, std::move(buffers),
+                         bandwidth_mbps, ctx);
 }
 
 CollectiveReport collective_mean(Topology topology,
                                  std::vector<std::span<float>> buffers,
                                  double bandwidth_mbps,
                                  const kernels::KernelContext& ctx) {
-  switch (topology) {
-    case Topology::kParameterServer:
-      return ps_all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
-    case Topology::kAllReduce:
-      return all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
-    case Topology::kRingAllReduce:
-      return ring_all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
+  validate(buffers);
+  // PS: the server accumulates all K updates and broadcasts the mean back.
+  // AR: every worker receives every peer's buffer and reduces locally, so
+  // all compute the identical mean.  RAR runs the actual ring dataflow.
+  if (topology == Topology::kRingAllReduce) {
+    ring_reduce(buffers, ctx);
+  } else {
+    mean_into_all(buffers, ctx);
   }
-  throw std::invalid_argument("collective_mean: bad topology");
+  return collective_cost(topology, static_cast<int>(buffers.size()),
+                         buffers.front().size() * sizeof(float),
+                         bandwidth_mbps);
+}
+
+void WeightedMeanFold::reset(std::size_t n) {
+  acc_.assign(n, 0.0);
+  weight_sum_ = 0.0;
+}
+
+void WeightedMeanFold::fold(std::span<const Member> batch, bool parallel,
+                            std::vector<std::uint64_t>* chunk_ns) {
+  const std::size_t n = acc_.size();
+  const WireView* grid = nullptr;  // chunk grid of a streamed batch
+  codecs_.assign(batch.size(), nullptr);
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    const Member& m = batch[j];
+    if (m.wire == nullptr) {
+      if (m.fp32.size() != n) {
+        throw std::runtime_error("WeightedMeanFold: update size mismatch");
+      }
+      continue;
+    }
+    if (grid == nullptr) grid = m.wire;
+    if (m.wire->elems != n || m.wire->raw_bytes != n * sizeof(float) ||
+        m.wire->chunk_raw_bytes != grid->chunk_raw_bytes ||
+        m.wire->n_chunks() != grid->n_chunks()) {
+      throw std::runtime_error("WeightedMeanFold: update size mismatch");
+    }
+    codecs_[j] = codec_by_name(m.wire->codec);
+    if (codecs_[j] == nullptr) {
+      throw std::runtime_error("WeightedMeanFold: unknown codec " +
+                               m.wire->codec);
+    }
+  }
+  for (const Member& m : batch) weight_sum_ += m.weight;
+
+  // One chunk of the grid ([0, n) for an fp32-only batch): every member in
+  // batch order, so each element accumulates in the same order whatever the
+  // chunking or thread count.
+  const auto fold_chunk = [&](std::size_t off, std::size_t len,
+                              std::size_t c) {
+    thread_local std::vector<float> scratch;
+    double* acc = acc_.data() + off;
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      const Member& m = batch[j];
+      const float* x = nullptr;
+      if (m.wire == nullptr) {
+        x = m.fp32.data() + off;
+      } else {
+        if (scratch.size() < len) scratch.resize(len);
+        x = scratch.data();
+        codecs_[j]->decompress_into(
+            m.wire->chunk(c), {reinterpret_cast<std::uint8_t*>(scratch.data()),
+                               len * sizeof(float)});
+      }
+      const double w = m.weight;
+      for (std::size_t e = 0; e < len; ++e) {
+        acc[e] += w * static_cast<double>(x[e]);
+      }
+    }
+  };
+  if (grid == nullptr) {
+    fold_chunk(0, n, 0);
+    return;
+  }
+  const std::size_t n_chunks = grid->n_chunks();
+  if (chunk_ns != nullptr) chunk_ns->assign(n_chunks, 0);
+  const auto run = [&](std::size_t c) {
+    const obs::RealTimer timer(chunk_ns != nullptr);
+    fold_chunk(grid->raw_off(c) / sizeof(float),
+               grid->raw_len(c) / sizeof(float), c);
+    if (chunk_ns != nullptr) (*chunk_ns)[c] = timer.ns();
+  };
+  if (parallel && n_chunks > 1) {
+    global_pool().parallel_for(n_chunks, run);
+  } else {
+    for (std::size_t c = 0; c < n_chunks; ++c) run(c);
+  }
+}
+
+void WeightedMeanFold::finish(std::span<float> out) const {
+  if (out.size() != acc_.size()) {
+    throw std::invalid_argument("WeightedMeanFold::finish: size mismatch");
+  }
+  const double inv = weight_sum_ > 0.0 ? 1.0 / weight_sum_ : 0.0;
+  for (std::size_t e = 0; e < out.size(); ++e) {
+    out[e] = static_cast<float>(acc_[e] * inv);
+  }
 }
 
 }  // namespace photon

@@ -10,17 +10,22 @@
 //   AR  — naive AllReduce: every worker sends its buffer to all peers.
 //   RAR — Ring-AllReduce: chunked reduce-scatter + all-gather, the
 //         bandwidth-optimal 2*S*(K-1)/K per worker.
-// All three produce bit-identical means (property-tested) but different
-// costs; RAR is additionally implemented chunk-by-chunk for fidelity.
+// PS and AR produce bit-identical means (per element an fp64 sum in buffer
+// order, narrowed once).  RAR runs the chunked ring dataflow in float, so
+// its mean agrees with theirs to rounding (property-tested to 1e-5), not bit
+// for bit; the three differ in cost.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "comm/cost_model.hpp"
+#include "comm/message.hpp"
 #include "tensor/kernel_context.hpp"
 
 namespace photon {
+
+class Codec;
 
 struct CollectiveReport {
   Topology topology = Topology::kParameterServer;
@@ -33,6 +38,17 @@ struct CollectiveReport {
   /// Simulated wall time at `bandwidth_mbps`.
   double seconds = 0.0;
 };
+
+/// Byte and time accounting of one collective over `k` members of
+/// `member_bytes` each — the PS / AR / RAR formulas of paper §4 (Appendix
+/// B.1 Eqs. 2-4), in the integer arithmetic every caller shares:
+///   PS  bottleneck K*S,          total 2*K*S
+///   AR  bottleneck (K-1)*S,      total K*(K-1)*S
+///   RAR bottleneck 2*S*(K-1)/K,  total bottleneck*K
+/// `seconds` is the bottleneck at `bandwidth_mbps`.
+CollectiveReport collective_cost(Topology topology, int k,
+                                 std::uint64_t member_bytes,
+                                 double bandwidth_mbps);
 
 /// In-place mean over `buffers` via a parameter server.  All buffers end
 /// holding the mean.  Buffers must be equal length and non-empty.
@@ -60,5 +76,43 @@ CollectiveReport collective_mean(
     Topology topology, std::vector<std::span<float>> buffers,
     double bandwidth_mbps,
     const kernels::KernelContext& ctx = kernels::default_context());
+
+/// The fp64 weighted mean both round engines aggregate through (DESIGN.md
+/// §11, §12): members fold into one accumulator in batch order, then the
+/// mean narrows once.  Per element the arithmetic is
+///   out[e] = float((sum_j w_j * double(x_j[e])) * (1 / sum_j w_j))
+/// so a sync cohort at weight 1 reproduces the materialized PS mean bit for
+/// bit, and the async buffer is its staleness-weighted generalization.
+class WeightedMeanFold {
+ public:
+  /// One update: a decoded fp32 payload, or (when `wire` is set) a retained
+  /// quantized wire image that is dequantized chunk by chunk as it folds.
+  struct Member {
+    std::span<const float> fp32;
+    const WireView* wire = nullptr;
+    double weight = 1.0;
+  };
+
+  /// Start an n-element mean: zero the accumulator and the weight sum.
+  void reset(std::size_t n);
+  /// acc[e] += w_j * x_j[e] for every member j, in batch order per element.
+  /// A batch holding a wire image folds chunk-major on that image's chunk
+  /// grid — chunk-parallel on the global pool when `parallel` — decoding
+  /// into per-thread scratch, so no member's full fp32 update materializes;
+  /// an fp32-only batch folds on the calling thread.  `chunk_ns`, when
+  /// non-null, receives each chunk's measured fold time.  Throws
+  /// std::runtime_error on a member whose size or chunk grid differs from
+  /// the mean's, or whose codec is unknown.
+  void fold(std::span<const Member> batch, bool parallel,
+            std::vector<std::uint64_t>* chunk_ns = nullptr);
+  /// out[e] = float(acc[e] * (1 / weight_sum)); zeros when nothing folded.
+  void finish(std::span<float> out) const;
+  double weight_sum() const { return weight_sum_; }
+
+ private:
+  std::vector<double> acc_;
+  double weight_sum_ = 0.0;
+  std::vector<const Codec*> codecs_;  // per member of the current batch
+};
 
 }  // namespace photon

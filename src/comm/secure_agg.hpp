@@ -157,6 +157,22 @@ class SecAggSession {
                    std::span<float> out,
                    const kernels::KernelContext& ctx) const;
 
+  /// The server side of one masked aggregation, as both round engines run
+  /// it: mask every survivor's update into `acc` in position order
+  /// (`updates[j]` belongs to cohort position `survivors[j]`), strip the
+  /// `dropped` members' masks (recover_dropouts), and decode the survivors'
+  /// mean into `out`.  `acc` is caller-owned scratch, resized and zeroed
+  /// here.  Throws std::runtime_error when an update's length differs from
+  /// out.size(), SecAggAbort when members dropped and survivors <
+  /// threshold().
+  void masked_mean(std::span<const int> survivors,
+                   std::span<const std::span<const float>> updates,
+                   std::span<const int> dropped,
+                   std::vector<std::uint64_t>& acc, std::span<float> out,
+                   const kernels::KernelContext& ctx,
+                   obs::Tracer* tracer = nullptr, std::uint32_t round = 0,
+                   double sim_time = 0.0, bool tracing = false) const;
+
   // Test hooks: the protocol's internal state is deterministic, so tests
   // assert symmetry and reconstruction against it directly.
   std::uint64_t member_secret(int idx) const { return secrets_[idx]; }
@@ -178,55 +194,6 @@ class SecAggSession {
   std::vector<std::vector<secagg::Share>> shares_;
 
   std::uint64_t seed_from_secret(std::uint64_t secret, int other_pos) const;
-};
-
-/// Float-domain sum helper kept from the original API plus a convenience
-/// whole-cohort wrapper (a session over the contiguous cohort {0..n-1})
-/// used by tests and benches.
-class SecureAggregator {
- public:
-  SecureAggregator(int num_clients, std::uint64_t session_seed,
-                   int fixed_point_bits = 32);
-
-  int num_clients() const { return session_.cohort_size(); }
-  const SecAggSession& session() const { return session_; }
-  std::uint64_t pair_seed(int a, int b) const {
-    return session_.pair_seed(a, b);
-  }
-
-  /// Mask client `idx`'s update into `out` (zeroed first).
-  void mask_update(int idx, std::span<const float> update,
-                   std::span<std::uint64_t> out,
-                   const kernels::KernelContext& ctx =
-                       kernels::default_context()) const;
-
-  /// Decode the wrapped element-wise sum of all `masked` updates into the
-  /// mean over `masked.size()` members.
-  void unmask_mean(std::span<const std::span<const std::uint64_t>> masked,
-                   std::span<float> out,
-                   const kernels::KernelContext& ctx =
-                       kernels::default_context()) const;
-
-  /// Element-wise float sum of equal-length updates into `out`.  Throws
-  /// std::invalid_argument on an empty set or ragged span lengths.  Shards
-  /// element ranges over `ctx`; per-element reduction order is fixed
-  /// (buffer index order), so results are bit-identical serial vs parallel.
-  static void sum_into(std::span<const std::span<const float>> masked,
-                       std::span<float> out,
-                       const kernels::KernelContext& ctx =
-                           kernels::default_context());
-
-  /// Convenience overload over owned buffers.
-  static void sum_into(const std::vector<std::vector<float>>& masked,
-                       std::span<float> out);
-
-  /// sum_into into a freshly sized buffer (sized from the first update).
-  static std::vector<float> sum(
-      const std::vector<std::vector<float>>& masked,
-      const kernels::KernelContext& ctx = kernels::default_context());
-
- private:
-  SecAggSession session_;
 };
 
 }  // namespace photon

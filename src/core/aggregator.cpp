@@ -31,6 +31,69 @@ constexpr std::uint64_t kAdmitTag = 0xAD317ULL;
 /// (seed, tag, round, attempt), async wave sessions on (seed, tag, wave).
 constexpr std::uint64_t kSecAggTag = 0x5ECA66ULL;
 
+SecAggConfig secagg_config(const AggregatorConfig& config,
+                           std::uint64_t session) {
+  return {config.privacy.secagg_fixed_point_bits,
+          config.privacy.secagg_threshold_fraction,
+          hash_combine(hash_combine(config.seed, kSecAggTag), session)};
+}
+
+/// Reject an async checkpoint section that would not restore into a sound
+/// engine state — before any of it is applied.  Checkpoint bytes are
+/// untrusted: every size that restore copies or indexes by is checked
+/// against the others and against the live model.
+void check_async_state(const AsyncAggregatorState& st, std::size_t population,
+                       std::size_t n_params) {
+  const auto reject = [](const std::string& why) {
+    throw std::runtime_error("Aggregator: async checkpoint " + why);
+  };
+  if (st.membership.size() != population ||
+      st.defer_counts.size() != population ||
+      st.next_eligible.size() != population) {
+    reject("population mismatch");
+  }
+  for (const std::uint8_t m : st.membership) {
+    if (m > static_cast<std::uint8_t>(MembershipState::kLeft)) {
+      reject("bad membership state");
+    }
+  }
+  std::vector<char> seen(population, 0);
+  for (const AsyncInFlightSnapshot& u : st.in_flight) {
+    if (u.client < 0 || static_cast<std::size_t>(u.client) >= population) {
+      reject("bad client id");
+    }
+    if (seen[static_cast<std::size_t>(u.client)] != 0) {
+      reject("duplicate client " + std::to_string(u.client));
+    }
+    seen[static_cast<std::size_t>(u.client)] = 1;
+    if (u.failure_kind > 2) reject("bad failure kind");
+    if (u.failure_kind != 0) continue;  // failed slots carry no update
+    if (u.elems != n_params) reject("update size mismatch");
+    const std::uint64_t raw = u.elems * sizeof(float);
+    if (u.chunk_raw_bytes == 0 || u.chunk_raw_bytes % sizeof(float) != 0) {
+      reject("bad chunk size");
+    }
+    if (u.chunk_lens.size() !=
+        (raw + u.chunk_raw_bytes - 1) / u.chunk_raw_bytes) {
+      reject("chunk count mismatch");
+    }
+    std::uint64_t total = 0;
+    for (const std::uint64_t len : u.chunk_lens) {
+      if (len > u.chunk_bytes.size() - total) reject("chunk length overflow");
+      total += len;
+    }
+    if (total != u.chunk_bytes.size()) reject("chunk byte count mismatch");
+    if (u.codec.empty()) {
+      if (u.chunk_bytes.size() != raw) reject("fp32 byte count mismatch");
+    } else {
+      const Codec* codec = codec_by_name(u.codec);
+      if (codec == nullptr || codec->quant_bits() == 0) {
+        reject("codec " + u.codec + " is not a quantized wire codec");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Aggregator::Aggregator(const ModelConfig& model, AggregatorConfig config,
@@ -211,6 +274,307 @@ void Aggregator::set_tracer(obs::Tracer* tracer) {
   }
 }
 
+// ===== shared round pipeline ==============================================
+
+void Aggregator::InFlight::start(int id, double t, std::uint32_t version) {
+  client = id;
+  dispatch_time = t;
+  arrive_time = t;
+  sim_seconds = 0.0;
+  dispatch_version = version;
+  wave_id = 0;
+  failure = Failure::kOk;
+  trained = false;
+  streamed = false;
+  train_sim_seconds = 0.0;
+  train_wall_seconds = 0.0;
+}
+
+WeightedMeanFold::Member Aggregator::InFlight::member(double weight) const {
+  if (streamed) return {{}, &wire, weight};
+  return {header.payload, nullptr, weight};
+}
+
+Message Aggregator::make_broadcast() const {
+  // One broadcast message borrows the global parameters; every client link
+  // encodes straight from that buffer, so broadcasting to K clients makes
+  // zero copies of the model beyond the wire itself.
+  Message broadcast;
+  broadcast.type = MessageType::kModelBroadcast;
+  broadcast.round = round_;
+  broadcast.sender = 0;
+  broadcast.payload_view = global_params_;
+  broadcast.metadata["local_steps"] = config_.local_steps;
+  return broadcast;
+}
+
+void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
+                          std::uint32_t salt, double deadline_s,
+                          bool round_clock, bool tracing) {
+  obs::Tracer* tracer = config_.tracer;
+  const int id = slot.client;
+  LLMClient& client = *clients_[static_cast<std::size_t>(id)];
+  SimLink& link = links_[static_cast<std::size_t>(id)];
+  const double t = slot.dispatch_time;
+  const LinkStats before = link.stats();
+  // Simulated seconds this client has spent on its link since dispatch
+  // (transfers + retry backoff).
+  const auto link_seconds = [&]() {
+    const LinkStats& now = link.stats();
+    return (now.transfer_seconds - before.transfer_seconds) +
+           (now.backoff_seconds - before.backoff_seconds);
+  };
+  const auto mark = [&](obs::SpanKind kind, double begin, double end,
+                        std::uint64_t real_ns) {
+    tracer->record({kind, round_, id, static_cast<std::int32_t>(salt), begin,
+                    end, real_ns});
+  };
+  // Every outcome lands at arrive_time; spans that end with the slot end
+  // there, so trace attribution of the round's sim time stays complete.
+  const auto resolve = [&](Failure failure, double link_s, double train_s) {
+    slot.failure = failure;
+    slot.sim_seconds = link_s + train_s;
+    slot.arrive_time =
+        round_clock ? t + slot.sim_seconds : t + link_s + train_s;
+  };
+  // Every fault decision is a pure function of (round, client, salt), so
+  // the fan-out is bit-identical serial vs parallel.
+  ClientRoundFault fault;
+  if (fault_hook_) fault = fault_hook_(round_, id, salt);
+  const double straggle = std::max(1.0, fault.straggle_factor);
+  const double train_sim = straggle *
+                           static_cast<double>(config_.local_steps) /
+                           config_.sim_throughput_bps;
+  slot.train_sim_seconds = train_sim;
+  link.set_trace_sim_base(t);
+  const obs::RealTimer bcast_timer(tracing);
+  try {
+    link.transmit(broadcast, slot.header);
+  } catch (const TransmitError&) {
+    resolve(Failure::kLink, link_seconds(), 0.0);
+    if (tracing) {
+      mark(obs::SpanKind::kBroadcast, t, slot.arrive_time, bcast_timer.ns());
+    }
+    return;
+  }
+  const double bcast_end = t + link_seconds();
+  if (tracing) {
+    mark(obs::SpanKind::kBroadcast, t, bcast_end, bcast_timer.ns());
+  }
+  if (fault.crash) {
+    // Client dies holding the broadcast, before training starts: its data
+    // stream does not advance and no update comes back.
+    resolve(Failure::kCrash, link_seconds(), 0.0);
+    if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
+    return;
+  }
+  if (deadline_s > 0.0 && link_seconds() + train_sim > deadline_s) {
+    // Known-too-slow straggler is cut before training (no data used).  The
+    // span covers the sim interval the round still charges to it.
+    resolve(Failure::kLate, link_seconds(), train_sim);
+    if (tracing) {
+      mark(obs::SpanKind::kStragglerCut, bcast_end, slot.arrive_time, 0);
+    }
+    return;
+  }
+  client.set_trace({tracing ? tracer : nullptr, round_, bcast_end,
+                    train_sim / static_cast<double>(config_.local_steps)});
+  const auto t_train = std::chrono::steady_clock::now();
+  const obs::RealTimer train_timer(tracing);
+  client.run_round(slot.header.payload, round_, config_.local_steps,
+                   schedule_step_base_, slot.update);
+  slot.trained = true;
+  slot.train_wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    t_train)
+          .count();
+  const double train_end = bcast_end + train_sim;
+  if (tracing) {
+    mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
+  }
+  Message up;
+  up.type = MessageType::kClientUpdate;
+  up.round = round_;
+  up.sender = static_cast<std::uint32_t>(id);
+  up.codec = slot.update.post.codec;
+  up.payload_view = slot.update.delta;
+  up.metadata = slot.update.metrics;
+  // A quantized update's wire CRC covers the *compressed* chunk bytes, so
+  // the return transfer is validated without decompressing: the wire image
+  // is retained and the fold dequantizes-and-accumulates it chunk by chunk.
+  // Secure aggregation masks fp32 payloads and must materialize; lossless
+  // codecs keep the classic decode path.
+  const Codec* up_codec = codec_by_name(up.codec);
+  const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
+                      up_codec->quant_bits() != 0;
+  link.set_trace_sim_base(train_end);
+  const obs::RealTimer up_timer(tracing);
+  try {
+    if (stream) {
+      link.transmit_wire(up, slot.header, slot.wire);
+      slot.streamed = true;
+    } else {
+      link.transmit(up, slot.header);  // header now holds the update
+    }
+  } catch (const TransmitError&) {
+    resolve(Failure::kLink, link_seconds(), train_sim);
+    if (tracing) {
+      mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
+           up_timer.ns());
+    }
+    return;
+  }
+  resolve(Failure::kOk, link_seconds(), train_sim);
+  if (tracing) {
+    mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
+         up_timer.ns());
+  }
+  if (deadline_s > 0.0 && slot.sim_seconds > deadline_s) {
+    slot.failure = Failure::kLate;  // update arrived past the deadline
+    if (tracing) {
+      mark(obs::SpanKind::kStragglerCut, slot.arrive_time, slot.arrive_time,
+           0);
+    }
+  }
+}
+
+void Aggregator::tally_failure(RoundRecord& record, Failure failure) {
+  switch (failure) {
+    case Failure::kOk: break;
+    case Failure::kCrash:
+      ++record.crashed_clients;
+      obs_.crashes.add();
+      break;
+    case Failure::kLink:
+      ++record.link_failed_clients;
+      obs_.link_failures.add();
+      break;
+    case Failure::kLate:
+      ++record.straggler_drops;
+      obs_.straggler_cuts.add();
+      break;
+  }
+}
+
+LinkStats Aggregator::sum_link_stats() const {
+  LinkStats sum;
+  for (const auto& link : links_) {
+    const LinkStats& s = link.stats();
+    sum.wire_bytes += s.wire_bytes;
+    sum.retries += s.retries;
+    sum.corrupt_chunks += s.corrupt_chunks;
+    sum.backoff_seconds += s.backoff_seconds;
+  }
+  return sum;
+}
+
+void Aggregator::close_record(
+    RoundRecord& record, const LinkStats& before,
+    std::uint64_t collective_bytes,
+    std::chrono::steady_clock::time_point t_round) const {
+  // Wire bytes: broadcast + update message bytes through Agg links (all
+  // attempts, including retransmissions) plus the collective's fabric
+  // traffic; the other deltas surface the round's fault telemetry.
+  const LinkStats after = sum_link_stats();
+  record.comm_bytes =
+      (after.wire_bytes - before.wire_bytes) + collective_bytes;
+  record.link_retries = after.retries - before.retries;
+  record.corrupt_chunks = after.corrupt_chunks - before.corrupt_chunks;
+  record.backoff_seconds = after.backoff_seconds - before.backoff_seconds;
+  record.sim_local_seconds =
+      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
+  record.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
+          .count();
+}
+
+void Aggregator::apply_server_opt(std::span<const float> pseudo_grad,
+                                  double t, bool tracing) {
+  // The write-ahead journal brackets ServerOpt: `begin` is durable before
+  // the global model mutates, `commit` only once this round's checkpoint
+  // is.  A crash between the two leaves a dangling begin, and recovery
+  // restarts from the last commit — so ServerOpt is applied exactly once
+  // per round of the final timeline.
+  const obs::RealTimer timer(tracing);
+  checkpoints_.journal_begin(round_);
+  server_opt_->apply(global_params_, pseudo_grad);
+  if (tracing) {
+    // Server-side compute is not simulated, so ServerOpt and Checkpoint are
+    // sim-zero-width marks at round end carrying measured real durations.
+    config_.tracer->record({obs::SpanKind::kServerOpt, round_,
+                            obs::kAggregatorActor, -1, t, t, timer.ns()});
+  }
+}
+
+void Aggregator::save_checkpoint(const RoundRecord& record, double t,
+                                 bool tracing) {
+  if (config_.checkpoint_every <= 0 ||
+      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) != 0) {
+    return;
+  }
+  const obs::RealTimer timer(tracing);
+  Checkpoint ckpt;
+  ckpt.round = round_;
+  ckpt.params = global_params_;
+  ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
+  ckpt.client_trained_rounds = client_rounds_;
+  BinaryWriter w;
+  server_opt_->save_state(w);
+  ckpt.server_opt_state = w.take();
+  // Error-feedback residuals are part of the deterministic client state:
+  // recovery must hand each client the exact residual it carried, or the
+  // post-restore timeline diverges from an uninterrupted run.
+  ckpt.client_ef_residuals.reserve(clients_.size());
+  for (const auto& c : clients_) {
+    ckpt.client_ef_residuals.push_back(c->ef_residual());
+  }
+  if (config_.async.enabled) {
+    // The drain boundary is the async save point: the fold is empty here,
+    // so the buffer's durable form is the pending in-flight updates plus
+    // the admission/membership counters and the sim clock.
+    ckpt.async_state = capture_async_state();
+  }
+  if (accountant_ != nullptr || config_.secure_aggregation) {
+    ckpt.privacy_state = capture_privacy_state();
+  }
+  if (state_ext_ != nullptr) {
+    // The record is complete (the kRound span is not yet recorded), so the
+    // extension folds the finished round into the state it captures — the
+    // contract that makes tuned crash recovery bit-identical.
+    state_ext_->on_checkpoint(record);
+    ckpt.tuner_state = state_ext_->capture_state();
+  }
+  checkpoints_.save(std::move(ckpt));
+  checkpoints_.journal_commit(round_);
+  if (tracing) {
+    config_.tracer->record({obs::SpanKind::kCheckpoint, round_,
+                            obs::kAggregatorActor, -1, t, t, timer.ns()});
+  }
+}
+
+void Aggregator::finish_round(RoundRecord& record, double t0, double t_end,
+                              std::uint64_t round_real_ns, bool tracing) {
+  if (tracing) {
+    config_.tracer->record({obs::SpanKind::kRound, round_,
+                            obs::kAggregatorActor,
+                            static_cast<std::int32_t>(record.survivors), t0,
+                            t_end, round_real_ns});
+  }
+  obs_.rounds.add();
+  if (!record.skipped) {
+    obs_.tokens.add(record.tokens_this_round);
+    if (t_end > t0) {
+      obs_.tokens_per_sim_second.set(
+          static_cast<double>(record.tokens_this_round) / (t_end - t0));
+    }
+  }
+  history_.add(record);
+  ++round_;
+  schedule_step_base_ += config_.local_steps;
+}
+
+// ===== synchronous rounds (Alg. 1) ========================================
+
 RoundRecord Aggregator::run_round_sync() {
   const auto t_round = std::chrono::steady_clock::now();
   obs::Tracer* tracer = config_.tracer;
@@ -220,32 +584,14 @@ RoundRecord Aggregator::run_round_sync() {
   const int k = config_.clients_per_round > 0
                     ? config_.clients_per_round
                     : static_cast<int>(clients_.size());
-
-  LinkStats agg_before;  // summed link stats at round start, for deltas
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_before.wire_bytes += s.wire_bytes;
-    agg_before.retries += s.retries;
-    agg_before.corrupt_chunks += s.corrupt_chunks;
-    agg_before.backoff_seconds += s.backoff_seconds;
-  }
+  const LinkStats agg_before = sum_link_stats();
 
   RoundRecord record;
   record.round = round_;
   apply_membership(record);
 
-  // Per-slot outcome of one cohort attempt.  kOk slots are the survivors
-  // whose updates aggregate; everything else is dropped from the round.
-  enum class SlotStatus { kOk, kCrashed, kLinkFailed, kLate };
-
   std::vector<int> cohort;
-  std::vector<SlotStatus> status;
-  std::vector<char> trained;           // local training ran (data consumed)
-  std::vector<char> streamed;          // update held as a wire view, not fp32
-  std::vector<double> train_seconds;   // measured wall time in training
-  std::vector<double> sim_seconds;     // simulated per-client round time
-  std::vector<std::size_t> survivors;  // cohort slots with status kOk
-
+  std::vector<std::size_t> survivors;  // cohort slots that returned in time
   // Pairwise-masking session for the current cohort attempt (DESIGN.md
   // §14); outlives the attempt loop because the surviving attempt's
   // session unmasks the aggregate below.
@@ -257,6 +603,8 @@ RoundRecord Aggregator::run_round_sync() {
   // keeps the kRound span covering all attempt spans (the obs attribution
   // invariant) when a retried attempt held the round's slowest straggler.
   double retry_slowest = 0.0;
+  double slowest = 0.0;  // this attempt's slowest client sim time
+  const Message broadcast = make_broadcast();
 
   // Cohort-attempt loop: a round that loses quorum is retried with a
   // freshly salted cohort (Alg. 1's sampling, salted by the attempt index)
@@ -266,14 +614,7 @@ RoundRecord Aggregator::run_round_sync() {
     if (cohort.empty()) {
       throw std::runtime_error("Aggregator::run_round: no available clients");
     }
-    if (rx_.size() < cohort.size()) rx_.resize(cohort.size());
-    if (wire_rx_.size() < cohort.size()) wire_rx_.resize(cohort.size());
-    if (updates_.size() < cohort.size()) updates_.resize(cohort.size());
-    status.assign(cohort.size(), SlotStatus::kOk);
-    trained.assign(cohort.size(), 0);
-    streamed.assign(cohort.size(), 0);
-    train_seconds.assign(cohort.size(), 0.0);
-    sim_seconds.assign(cohort.size(), 0.0);
+    if (slots_.size() < cohort.size()) slots_.resize(cohort.size());
 
     // Secagg phase 1: simulated key agreement + Shamir share distribution
     // over the cohort's links, BEFORE the broadcast — the fan-out below
@@ -283,166 +624,31 @@ RoundRecord Aggregator::run_round_sync() {
     secagg.reset();
     ke = {};
     if (config_.secure_aggregation && cohort.size() > 1) {
-      secagg.emplace(
-          cohort,
-          SecAggConfig{config_.privacy.secagg_fixed_point_bits,
-                       config_.privacy.secagg_threshold_fraction,
-                       hash_combine(hash_combine(config_.seed, kSecAggTag),
-                                    hash_combine(round_, attempt))});
+      secagg.emplace(cohort,
+                     secagg_config(config_, hash_combine(round_, attempt)));
       std::vector<SimLink*> ke_links(cohort.size());
       for (std::size_t i = 0; i < cohort.size(); ++i) {
         ke_links[i] = &links_[static_cast<std::size_t>(cohort[i])];
       }
       ke = secagg->run_key_exchange(ke_links, tracer, round_, t0, tracing);
-      for (const int pos : ke.failed) {
-        const auto p = static_cast<std::size_t>(pos);
-        status[p] = SlotStatus::kLinkFailed;
-        sim_seconds[p] = ke.member_seconds[p];
-      }
       record.sim_privacy_seconds += ke.sim_seconds;
     }
     const double t_start = t0 + ke.sim_seconds;
-
-    // One broadcast message borrows the global parameters; every client
-    // link encodes straight from that buffer, so broadcasting to K clients
-    // makes zero copies of the model beyond the wire itself.
-    Message broadcast;
-    broadcast.type = MessageType::kModelBroadcast;
-    broadcast.round = round_;
-    broadcast.sender = 0;
-    broadcast.payload_view = global_params_;
-    broadcast.metadata["local_steps"] = config_.local_steps;
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      slots_[i].start(cohort[i], t_start, round_);
+    }
+    for (const int pos : ke.failed) {
+      InFlight& slot = slots_[static_cast<std::size_t>(pos)];
+      slot.failure = Failure::kLink;
+      slot.sim_seconds = ke.member_seconds[static_cast<std::size_t>(pos)];
+    }
 
     // Broadcast + local training + update return (Alg. 1 L5-7), clients in
-    // parallel.  Every fault decision is a pure function of
-    // (round, client, attempt), and failures only write this slot's state,
-    // so the fan-out is bit-identical serial vs parallel.
+    // parallel; failures only write their own slot.
     auto run_client = [&](std::size_t i) {
-      if (status[i] != SlotStatus::kOk) return;  // dropped at key exchange
-      const int id = cohort[i];
-      SimLink& link = links_[static_cast<std::size_t>(id)];
-      Message& rx = rx_[i];
-      const LinkStats before = link.stats();
-      ClientRoundFault fault;
-      if (fault_hook_) fault = fault_hook_(round_, id, attempt);
-      const double straggle = std::max(1.0, fault.straggle_factor);
-      const double train_sim = straggle *
-                               static_cast<double>(config_.local_steps) /
-                               config_.sim_throughput_bps;
-      // Simulated seconds this client has spent on its link since the slot
-      // started (transfers + retry backoff).
-      const auto sim_elapsed = [&]() {
-        const LinkStats& now = link.stats();
-        return (now.transfer_seconds - before.transfer_seconds) +
-               (now.backoff_seconds - before.backoff_seconds);
-      };
-      const auto mark = [&](obs::SpanKind kind, double begin, double end,
-                            std::uint64_t real_ns) {
-        tracer->record({kind, round_, id, static_cast<std::int32_t>(attempt),
-                        begin, end, real_ns});
-      };
-      link.set_trace_sim_base(t_start);
-      const obs::RealTimer bcast_timer(tracing);
-      try {
-        link.transmit(broadcast, rx);
-      } catch (const TransmitError&) {
-        status[i] = SlotStatus::kLinkFailed;
-        sim_seconds[i] = sim_elapsed();
-        if (tracing) {
-          mark(obs::SpanKind::kBroadcast, t_start, t_start + sim_seconds[i],
-               bcast_timer.ns());
-        }
-        return;
-      }
-      const double bcast_end = t_start + sim_elapsed();
-      if (tracing) {
-        mark(obs::SpanKind::kBroadcast, t_start, bcast_end, bcast_timer.ns());
-      }
-      if (fault.crash) {
-        // Client dies holding the broadcast, before training starts: its
-        // data stream does not advance and no update comes back.
-        status[i] = SlotStatus::kCrashed;
-        sim_seconds[i] = sim_elapsed();
-        if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
-        return;
-      }
-      if (config_.round_deadline_s > 0.0 &&
-          sim_elapsed() + train_sim > config_.round_deadline_s) {
-        // Known-too-slow straggler is cut before training (no data used).
-        // The span covers the sim interval the round still charges to the
-        // cut client, so trace attribution of round time stays complete.
-        status[i] = SlotStatus::kLate;
-        sim_seconds[i] = sim_elapsed() + train_sim;
-        if (tracing) {
-          mark(obs::SpanKind::kStragglerCut, bcast_end,
-               t_start + sim_seconds[i], 0);
-        }
-        return;
-      }
-      clients_[static_cast<std::size_t>(id)]->set_trace(
-          {tracing ? tracer : nullptr, round_, bcast_end,
-           train_sim / static_cast<double>(config_.local_steps)});
-      const auto t_train = std::chrono::steady_clock::now();
-      const obs::RealTimer train_timer(tracing);
-      clients_[static_cast<std::size_t>(id)]->run_round(
-          rx.payload, round_, config_.local_steps, schedule_step_base_,
-          updates_[i]);
-      trained[i] = 1;
-      train_seconds[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t_train)
-              .count();
-      const double train_end = bcast_end + train_sim;
-      if (tracing) {
-        mark(obs::SpanKind::kLocalTrain, bcast_end, train_end,
-             train_timer.ns());
-      }
-      Message up;
-      up.type = MessageType::kClientUpdate;
-      up.round = round_;
-      up.sender = static_cast<std::uint32_t>(id);
-      up.codec = updates_[i].post.codec;
-      up.payload_view = updates_[i].delta;
-      up.metadata = updates_[i].metrics;
-      // A quantized update's wire CRC covers the *compressed* chunk bytes,
-      // so the return transfer is validated without decompressing: the wire
-      // image is retained and the fan-in below dequantizes-and-accumulates
-      // it chunk by chunk.  Secure aggregation masks fp32 payloads and must
-      // materialize; lossless codecs keep the classic decode path.
-      const Codec* up_codec = codec_by_name(up.codec);
-      const bool stream = !config_.secure_aggregation &&
-                          up_codec != nullptr && up_codec->quant_bits() != 0;
-      link.set_trace_sim_base(train_end);
-      const obs::RealTimer up_timer(tracing);
-      try {
-        if (stream) {
-          link.transmit_wire(up, rx, wire_rx_[i]);
-          streamed[i] = 1;
-        } else {
-          link.transmit(up, rx);  // rx now holds the received update
-        }
-      } catch (const TransmitError&) {
-        status[i] = SlotStatus::kLinkFailed;
-        sim_seconds[i] = sim_elapsed() + train_sim;
-        if (tracing) {
-          mark(obs::SpanKind::kUpdateReturn, train_end,
-               t_start + sim_seconds[i], up_timer.ns());
-        }
-        return;
-      }
-      sim_seconds[i] = sim_elapsed() + train_sim;
-      if (tracing) {
-        mark(obs::SpanKind::kUpdateReturn, train_end, t_start + sim_seconds[i],
-             up_timer.ns());
-      }
-      if (config_.round_deadline_s > 0.0 &&
-          sim_seconds[i] > config_.round_deadline_s) {
-        status[i] = SlotStatus::kLate;  // update arrived past the deadline
-        if (tracing) {
-          mark(obs::SpanKind::kStragglerCut, t_start + sim_seconds[i],
-               t_start + sim_seconds[i], 0);
-        }
-      }
+      if (slots_[i].failure != Failure::kOk) return;  // dropped at KE
+      dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s,
+               /*round_clock=*/true, tracing);
     };
     if (config_.parallel_clients && cohort.size() > 1) {
       global_pool().parallel_for(cohort.size(), run_client);
@@ -452,26 +658,19 @@ RoundRecord Aggregator::run_round_sync() {
 
     // Serial bookkeeping in cohort order keeps everything deterministic.
     survivors.clear();
+    slowest = 0.0;
     for (std::size_t i = 0; i < cohort.size(); ++i) {
+      const InFlight& slot = slots_[i];
       // Data-stream position advances whenever training ran, even if the
       // update was then dropped — recovery must replay the same reads.
-      if (trained[i]) ++client_rounds_[static_cast<std::size_t>(cohort[i])];
-      switch (status[i]) {
-        case SlotStatus::kOk: survivors.push_back(i); break;
-        case SlotStatus::kCrashed:
-          ++record.crashed_clients;
-          obs_.crashes.add();
-          break;
-        case SlotStatus::kLinkFailed:
-          ++record.link_failed_clients;
-          obs_.link_failures.add();
-          break;
-        case SlotStatus::kLate:
-          ++record.straggler_drops;
-          obs_.straggler_cuts.add();
-          break;
+      if (slot.trained) ++client_rounds_[static_cast<std::size_t>(cohort[i])];
+      if (slot.failure == Failure::kOk) {
+        survivors.push_back(i);
+      } else {
+        tally_failure(record, slot.failure);
       }
-      obs_.client_sim_seconds.observe(sim_seconds[i]);
+      obs_.client_sim_seconds.observe(slot.sim_seconds);
+      slowest = std::max(slowest, slot.sim_seconds);
     }
 
     auto quorum = std::max<std::size_t>(
@@ -486,74 +685,21 @@ RoundRecord Aggregator::run_round_sync() {
     }
     if (survivors.size() >= quorum) break;
     if (static_cast<int>(attempt) >= config_.max_cohort_retries) {
-      if (config_.skip_on_quorum_loss) {
-        // Clean skipped round: no survivors, so no mean, no server step, no
-        // checkpoint — but the round index, LR-schedule base, and sim clock
-        // all advance exactly as a completed round's would, keeping the
-        // restore-time `round * local_steps` schedule fallback exact.
-        record.skipped = true;
-        record.participants = cohort;
-        record.survivors = 0;
-        for (std::size_t i = 0; i < cohort.size(); ++i) {
-          record.dropped_clients.push_back(cohort[i]);
-          record.sim_slowest_client_seconds =
-              std::max(record.sim_slowest_client_seconds, sim_seconds[i]);
-        }
-        // Client critical paths start at the key-exchange barrier, and a
-        // prior attempt's stragglers can outlast this final one.
-        record.sim_slowest_client_seconds += ke.sim_seconds;
-        record.sim_slowest_client_seconds =
-            std::max(record.sim_slowest_client_seconds, retry_slowest);
-        record.sim_local_seconds =
-            static_cast<double>(config_.local_steps) /
-            config_.sim_throughput_bps;
-        LinkStats skip_after;
-        for (const auto& link : links_) {
-          const LinkStats& s = link.stats();
-          skip_after.wire_bytes += s.wire_bytes;
-          skip_after.retries += s.retries;
-          skip_after.corrupt_chunks += s.corrupt_chunks;
-          skip_after.backoff_seconds += s.backoff_seconds;
-        }
-        record.comm_bytes = skip_after.wire_bytes - agg_before.wire_bytes;
-        record.link_retries = skip_after.retries - agg_before.retries;
-        record.corrupt_chunks =
-            skip_after.corrupt_chunks - agg_before.corrupt_chunks;
-        record.backoff_seconds =
-            skip_after.backoff_seconds - agg_before.backoff_seconds;
-        record.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t_round)
-                .count();
-        const double t_skip_end = t0 + record.sim_slowest_client_seconds;
-        if (tracing) {
-          tracer->record({obs::SpanKind::kRound, round_,
-                          obs::kAggregatorActor, 0, t0, t_skip_end,
-                          round_timer.ns()});
-        }
-        obs_.rounds.add();
-        sim_now_ = t_skip_end;
-        // Clients still trained and transmitted noisy updates this round,
-        // so the mechanism released and the accountant must compose it.
-        account_privacy(record);
-        PHOTON_LOG_WARN("aggregator",
-                        "round %u skipped: quorum lost after %u attempt(s)",
-                        round_, attempt + 1);
-        history_.add(record);
-        ++round_;
-        schedule_step_base_ += config_.local_steps;
-        return record;
+      if (!config_.skip_on_quorum_loss) {
+        throw std::runtime_error(
+            "Aggregator::run_round: quorum lost in round " +
+            std::to_string(round_) + " after " + std::to_string(attempt + 1) +
+            " cohort attempt(s)");
       }
-      throw std::runtime_error(
-          "Aggregator::run_round: quorum lost in round " +
-          std::to_string(round_) + " after " + std::to_string(attempt + 1) +
-          " cohort attempt(s)");
+      PHOTON_LOG_WARN("aggregator",
+                      "round %u skipped: quorum lost after %u attempt(s)",
+                      round_, attempt + 1);
+      record.skipped = true;
+      break;
     }
     ++record.cohort_retries;
     obs_.cohort_retries.add();
-    for (const double s : sim_seconds) {
-      retry_slowest = std::max(retry_slowest, ke.sim_seconds + s);
-    }
+    retry_slowest = std::max(retry_slowest, ke.sim_seconds + slowest);
     PHOTON_LOG_WARN("aggregator",
                     "round %u attempt %u: %zu/%zu survivors below quorum "
                     "%zu; resampling cohort",
@@ -561,20 +707,30 @@ RoundRecord Aggregator::run_round_sync() {
   }
 
   record.participants = cohort;
-  record.survivors = static_cast<int>(survivors.size());
   for (std::size_t i = 0; i < cohort.size(); ++i) {
-    if (status[i] != SlotStatus::kOk) {
+    if (record.skipped || slots_[i].failure != Failure::kOk) {
       record.dropped_clients.push_back(cohort[i]);
     }
-    record.sim_slowest_client_seconds =
-        std::max(record.sim_slowest_client_seconds, sim_seconds[i]);
   }
   // Under secagg every client's critical path starts at the key-exchange
   // barrier, so the exchange window is charged to the slowest client; a
   // quorum-lost attempt's stragglers can outlast the winning attempt.
-  record.sim_slowest_client_seconds += ke.sim_seconds;
   record.sim_slowest_client_seconds =
-      std::max(record.sim_slowest_client_seconds, retry_slowest);
+      std::max(slowest + ke.sim_seconds, retry_slowest);
+  if (record.skipped) {
+    // Clean skipped round: no survivors, so no mean, no server step, no
+    // checkpoint — but the round index, LR-schedule base, and sim clock all
+    // advance exactly as a completed round's would, keeping the
+    // restore-time `round * local_steps` schedule fallback exact.
+    close_record(record, agg_before, 0, t_round);
+    sim_now_ = t0 + record.sim_slowest_client_seconds;
+    // Clients still trained and transmitted noisy updates this round, so
+    // the mechanism released and the accountant must compose it.
+    account_privacy(record);
+    finish_round(record, t0, sim_now_, round_timer.ns(), tracing);
+    return record;
+  }
+  record.survivors = static_cast<int>(survivors.size());
 
   // Ordered (cohort-index) combine over the SURVIVING cohort keeps metrics
   // and losses bit-identical between the serial and parallel fan-outs; the
@@ -582,13 +738,17 @@ RoundRecord Aggregator::run_round_sync() {
   const std::size_t n_agg = survivors.size();
   std::vector<MetricDict> client_metrics(n_agg);
   std::vector<double> weights(n_agg);
+  bool all_streamed = true;
+  const WireView* head = nullptr;  // first streamed survivor's wire image
   for (std::size_t j = 0; j < n_agg; ++j) {
-    const std::size_t i = survivors[j];
-    client_metrics[j] = rx_[i].metadata;
-    weights[j] = static_cast<double>(updates_[i].tokens);
-    record.tokens_this_round += updates_[i].tokens;
+    const InFlight& slot = slots_[survivors[j]];
+    client_metrics[j] = slot.header.metadata;
+    weights[j] = static_cast<double>(slot.update.tokens);
+    record.tokens_this_round += slot.update.tokens;
     record.mean_train_loss +=
-        updates_[i].mean_train_loss / static_cast<double>(n_agg);
+        slot.update.mean_train_loss / static_cast<double>(n_agg);
+    all_streamed = all_streamed && slot.streamed;
+    if (slot.streamed && head == nullptr) head = &slot.wire;
   }
 
   // A partial cohort breaks the static ring schedule AR/RAR assume (a dead
@@ -601,178 +761,84 @@ RoundRecord Aggregator::run_round_sync() {
     record.topology_fallback = true;
   }
 
-  // The streamed fan-in applies when every surviving update arrived as a
-  // retained quantized wire image.  A mixed cohort (possible only with
-  // heterogeneous per-client codecs) materializes the streamed survivors
-  // into fp32 first and takes the classic collective below.
-  bool all_streamed = n_agg > 0;
-  bool any_streamed = false;
-  for (std::size_t j = 0; j < n_agg; ++j) {
-    if (streamed[survivors[j]]) {
-      any_streamed = true;
-    } else {
-      all_streamed = false;
-    }
-  }
-  if (any_streamed && !all_streamed) {
-    for (std::size_t j = 0; j < n_agg; ++j) {
-      const std::size_t i = survivors[j];
-      if (!streamed[i]) continue;
-      const WireView& v = wire_rx_[i];
-      const Codec* codec = codec_by_name(v.codec);
-      rx_[i].payload.resize(static_cast<std::size_t>(v.elems));
-      auto* out8 = reinterpret_cast<std::uint8_t*>(rx_[i].payload.data());
-      for (std::size_t c = 0; c < v.n_chunks(); ++c) {
-        codec->decompress_into(v.chunk(c),
-                               {out8 + v.raw_off(c), v.raw_len(c)});
-      }
-    }
-  }
-
   // Aggregate (Alg. 1 L8): element-wise mean of surviving pseudo-gradients
   // through the (possibly degraded) topology; secure aggregation masks
-  // first.  The mean is computed in place over the received payloads, and
-  // `pseudo_grad` is a view — no full-model copy on this path.
+  // first.  An all-fp32 cohort reduces in place over the received payloads
+  // and `pseudo_grad` is a view — no full-model copy on that path.
+  const std::size_t n = global_params_.size();
   std::span<const float> pseudo_grad;
-  double sim_comm_seconds = 0.0;
-  std::uint64_t collective_bytes = 0;
-  std::vector<std::uint64_t> dequant_real_ns;  // per chunk, streamed path
+  CollectiveReport cost;
+  std::vector<std::uint64_t> dequant_real_ns;  // per chunk, streamed fold
   const obs::RealTimer collective_timer(tracing);
   if (secagg.has_value() && n_agg > 0) {
-    // Secagg phases 2+3 (DESIGN.md §14): ring-encode + mask every
-    // surviving update into a shared mod-2^64 accumulator (wrapping adds
-    // commute, so the shard order never matters), reconstruct dropped
-    // members' pair masks from survivor shares, then decode the mean.  The
-    // server only ever combines masked words; pairwise masks cancel in the
-    // wrapped sum bit-exactly.
-    const std::size_t n = rx_[survivors.front()].payload.size();
-    secagg_acc_.assign(n, 0);
+    // Secagg phases 2+3 (DESIGN.md §14): the server only ever combines
+    // masked ring words; pairwise masks cancel in the wrapped sum.
     std::vector<int> surv_pos;
     std::vector<int> drop_pos;
-    surv_pos.reserve(n_agg);
+    std::vector<std::span<const float>> updates;
     for (std::size_t i = 0; i < cohort.size(); ++i) {
-      if (status[i] == SlotStatus::kOk) {
+      if (slots_[i].failure == Failure::kOk) {
         surv_pos.push_back(static_cast<int>(i));
+        updates.emplace_back(slots_[i].header.payload);
       } else {
         drop_pos.push_back(static_cast<int>(i));
       }
     }
-    for (const int pos : surv_pos) {
-      const auto& payload = rx_[static_cast<std::size_t>(pos)].payload;
-      if (payload.size() != n) {
-        throw std::runtime_error(
-            "Aggregator::run_round: secagg update size mismatch");
-      }
-      secagg->mask_update_into(pos, payload, secagg_acc_,
-                               kernels::default_context());
-    }
-    secagg->recover_dropouts(surv_pos, drop_pos, secagg_acc_,
-                             kernels::default_context(), tracer, round_,
-                             t0 + record.sim_slowest_client_seconds, tracing);
     pseudo_grad_.resize(n);
-    secagg->decode_mean(secagg_acc_, static_cast<int>(n_agg), pseudo_grad_,
-                        kernels::default_context());
+    secagg->masked_mean(surv_pos, updates, drop_pos, secagg_acc_, pseudo_grad_,
+                        kernels::default_context(), tracer, round_,
+                        t0 + record.sim_slowest_client_seconds, tracing);
     pseudo_grad = pseudo_grad_;
     record.secure_round = true;
     record.secagg_dropouts_recovered = static_cast<int>(drop_pos.size());
     shares_reconstructed_total_ += drop_pos.size();
     obs_.secagg_rounds.add();
     if (!drop_pos.empty()) obs_.share_recoveries.add(drop_pos.size());
-    const auto report = CollectiveReport{
-        Topology::kParameterServer, static_cast<int>(n_agg),
-        static_cast<std::uint64_t>(n_agg) * n * sizeof(float),
-        2ull * n_agg * n * sizeof(float), 0.0};
-    collective_bytes = report.total_bytes;
-    sim_comm_seconds = static_cast<double>(report.bottleneck_bytes) /
-                       (config_.bandwidth_mbps * 1024.0 * 1024.0);
-  } else if (all_streamed) {
-    // Streamed dequantize-and-accumulate (DESIGN.md §11): the fan-in walks
-    // the retained wire images chunk by chunk on the pool — each chunk is
-    // dequantized into thread-local scratch and folded into the mean as it
-    // "arrives", so no survivor's full fp32 update is ever materialized.
-    // Per element the survivors accumulate in cohort order into a double
-    // and narrow once — the exact arithmetic of mean_rows_pd — so the mean
-    // is bit-identical to the materialized collective at any thread count.
-    const WireView& head = wire_rx_[survivors.front()];
-    const std::size_t n = static_cast<std::size_t>(head.elems);
-    const std::size_t n_chunks = head.n_chunks();
+    cost = collective_cost(Topology::kParameterServer, static_cast<int>(n_agg),
+                           n * sizeof(float), config_.bandwidth_mbps);
+  } else if (head != nullptr) {
+    // Streamed dequantize-and-accumulate (DESIGN.md §11): the survivors
+    // fold at weight 1 as one batch on the wire chunk grid, so no streamed
+    // survivor's full fp32 update is ever materialized.  A mixed cohort
+    // (heterogeneous per-client codecs) folds its fp32 members alongside.
+    std::vector<WeightedMeanFold::Member> batch;
+    for (const std::size_t i : survivors) batch.push_back(slots_[i].member(1.0));
+    fold_.reset(n);
+    fold_.fold(batch, config_.parallel_clients,
+               tracing ? &dequant_real_ns : nullptr);
     pseudo_grad_.resize(n);
-    dequant_real_ns.assign(n_chunks, 0);
-    const double inv = 1.0 / static_cast<double>(n_agg);
-    auto accum_chunk = [&](std::size_t c) {
-      const obs::RealTimer chunk_timer(tracing);
-      const std::size_t len = head.raw_len(c) / sizeof(float);
-      std::vector<float> tmp(len);
-      std::vector<double> acc(len, 0.0);
-      for (std::size_t j = 0; j < n_agg; ++j) {
-        const WireView& v = wire_rx_[survivors[j]];
-        const Codec* codec = codec_by_name(v.codec);
-        codec->decompress_into(
-            v.chunk(c), {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                         len * sizeof(float)});
-        for (std::size_t e = 0; e < len; ++e) {
-          acc[e] += static_cast<double>(tmp[e]);
-        }
-      }
-      float* out = pseudo_grad_.data() + head.raw_off(c) / sizeof(float);
-      for (std::size_t e = 0; e < len; ++e) {
-        out[e] = static_cast<float>(acc[e] * inv);
-      }
-      dequant_real_ns[c] = chunk_timer.ns();
-    };
-    if (config_.parallel_clients && n_chunks > 1) {
-      global_pool().parallel_for(n_chunks, accum_chunk);
-    } else {
-      for (std::size_t c = 0; c < n_chunks; ++c) accum_chunk(c);
-    }
+    fold_.finish(pseudo_grad_);
     pseudo_grad = pseudo_grad_;
     if (n_agg > 1) {
       // Topology accounting on the *quantized* bytes: the collective moves
       // q8/q4 wire chunks, not fp32 buffers, which is where the wall-time
       // win over the B.1 cost model comes from.
-      std::uint64_t wire_sum = 0;
-      for (const std::uint64_t l : head.lens) wire_sum += l;
-      const auto k64 = static_cast<std::uint64_t>(n_agg);
-      std::uint64_t bottleneck = 0;
-      switch (topology) {
-        case Topology::kParameterServer:
-          bottleneck = k64 * wire_sum;
-          collective_bytes = 2ull * k64 * wire_sum;
-          break;
-        case Topology::kAllReduce:
-          bottleneck = (k64 - 1) * wire_sum;
-          collective_bytes = k64 * (k64 - 1) * wire_sum;
-          break;
-        case Topology::kRingAllReduce:
-          bottleneck = 2ull * wire_sum * (k64 - 1) / k64;
-          collective_bytes = bottleneck * k64;
-          break;
+      std::uint64_t member_bytes = n * sizeof(float);
+      if (all_streamed) {
+        member_bytes = 0;
+        for (const std::uint64_t l : head->lens) member_bytes += l;
       }
-      sim_comm_seconds = static_cast<double>(bottleneck) /
-                         (config_.bandwidth_mbps * 1024.0 * 1024.0);
+      cost = collective_cost(topology, static_cast<int>(n_agg), member_bytes,
+                             config_.bandwidth_mbps);
     }
   } else if (n_agg > 1) {
     std::vector<std::span<float>> spans;
     spans.reserve(n_agg);
-    for (std::size_t j = 0; j < n_agg; ++j) {
-      spans.emplace_back(rx_[survivors[j]].payload);
+    for (const std::size_t i : survivors) {
+      spans.emplace_back(slots_[i].header.payload);
     }
-    const CollectiveReport report =
-        collective_mean(topology, spans, config_.bandwidth_mbps);
-    pseudo_grad = rx_[survivors.front()].payload;  // buffers hold the mean
-    sim_comm_seconds = report.seconds;
-    collective_bytes = report.total_bytes;
+    cost = collective_mean(topology, spans, config_.bandwidth_mbps);
+    pseudo_grad = spans.front();  // buffers hold the mean
   } else {
-    pseudo_grad = rx_[survivors.front()].payload;
+    pseudo_grad = slots_[survivors.front()].header.payload;
   }
-
   const std::uint64_t collective_real_ns = collective_timer.ns();
 
   // The collective starts once the slowest surviving client is in; the
   // round's sim end is its completion.  The sim clock advances whether or
   // not tracing is on — it is part of the deterministic round state.
   const double t_collective = t0 + record.sim_slowest_client_seconds;
-  const double t_round_end = t_collective + sim_comm_seconds;
+  const double t_round_end = t_collective + cost.seconds;
   if (tracing) {
     tracer->record({obs::SpanKind::kCollective, round_, obs::kAggregatorActor,
                     static_cast<std::int32_t>(n_agg), t_collective,
@@ -784,18 +850,17 @@ RoundRecord Aggregator::run_round_sync() {
     // the quantized collective, so trace viewers show decode work
     // overlapping the transfer instead of serialized after it.  Sim
     // placement is a pure function of the chunk lengths — deterministic.
-    const WireView& head = wire_rx_[survivors.front()];
     std::uint64_t wire_sum = 0;
-    for (const std::uint64_t l : head.lens) wire_sum += l;
+    for (const std::uint64_t l : head->lens) wire_sum += l;
     double cum = 0.0;
     for (std::size_t c = 0; c < dequant_real_ns.size(); ++c) {
       const double share =
-          wire_sum > 0 ? static_cast<double>(head.lens[c]) /
+          wire_sum > 0 ? static_cast<double>(head->lens[c]) /
                              static_cast<double>(wire_sum)
                        : 0.0;
-      const double begin = t_collective + sim_comm_seconds * cum;
+      const double begin = t_collective + cost.seconds * cum;
       cum += share;
-      const double end = t_collective + sim_comm_seconds * cum;
+      const double end = t_collective + cost.seconds * cum;
       tracer->record({obs::SpanKind::kDequantAccum, round_,
                       obs::kAggregatorActor, static_cast<std::int32_t>(c),
                       begin, end, dequant_real_ns[c]});
@@ -804,21 +869,7 @@ RoundRecord Aggregator::run_round_sync() {
 
   record.update_norm =
       kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
-
-  // ServerOpt (Alg. 1 L9), bracketed by the write-ahead journal: `begin` is
-  // durable before the global model mutates, `commit` only once this
-  // round's checkpoint is.  A crash between the two leaves a dangling
-  // begin, and recovery restarts from the last commit — so ServerOpt is
-  // applied exactly once per round of the final timeline.
-  const obs::RealTimer server_opt_timer(tracing);
-  checkpoints_.journal_begin(round_);
-  server_opt_->apply(global_params_, pseudo_grad);
-  if (tracing) {
-    // Server-side compute is not simulated, so ServerOpt and Checkpoint are
-    // sim-zero-width marks at round end carrying measured real durations.
-    tracer->record({obs::SpanKind::kServerOpt, round_, obs::kAggregatorActor,
-                    -1, t_round_end, t_round_end, server_opt_timer.ns()});
-  }
+  apply_server_opt(pseudo_grad, t_round_end, tracing);
 
   // AggMetrics (L10).
   record.client_metrics = aggregate_metrics(client_metrics, weights);
@@ -827,96 +878,24 @@ RoundRecord Aggregator::run_round_sync() {
   // accountant already includes this round's mechanism.
   account_privacy(record);
 
-  // Wire bytes: broadcast + update message bytes through Agg links (all
-  // attempts, including retransmissions) plus the collective's fabric
-  // traffic; the other deltas surface the round's fault telemetry.
-  LinkStats agg_after;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_after.wire_bytes += s.wire_bytes;
-    agg_after.retries += s.retries;
-    agg_after.corrupt_chunks += s.corrupt_chunks;
-    agg_after.backoff_seconds += s.backoff_seconds;
+  record.sim_comm_seconds = cost.seconds;
+  for (std::size_t i = 0; i < cohort.size(); ++i) {
+    record.wall_train_seconds += slots_[i].train_wall_seconds;
   }
-  record.comm_bytes =
-      (agg_after.wire_bytes - agg_before.wire_bytes) + collective_bytes;
-  record.link_retries = agg_after.retries - agg_before.retries;
-  record.corrupt_chunks = agg_after.corrupt_chunks - agg_before.corrupt_chunks;
-  record.backoff_seconds =
-      agg_after.backoff_seconds - agg_before.backoff_seconds;
-
-  record.sim_comm_seconds = sim_comm_seconds;
-  record.sim_local_seconds =
-      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
-  for (const double s : train_seconds) record.wall_train_seconds += s;
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
-          .count();
+  close_record(record, agg_before, cost.total_bytes, t_round);
 
   // Advance the sim clock before checkpointing so a state extension that
   // persists it (the autotuner does: post-restore span arithmetic must run
   // at the exact pre-crash epoch or durations drift by an ULP) captures the
   // clock this round ends at.
   sim_now_ = t_round_end;
-
-  // Checkpoint (L11) with recovery metadata.  Runs after the record is
-  // complete (but before the kRound span) so a state extension can fold the
-  // finished round into the state it is about to capture — the contract
-  // that makes tuned crash recovery bit-identical to an uninterrupted run.
-  if (config_.checkpoint_every > 0 &&
-      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) == 0) {
-    const obs::RealTimer ckpt_timer(tracing);
-    Checkpoint ckpt;
-    ckpt.round = round_;
-    ckpt.params = global_params_;
-    ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
-    ckpt.client_trained_rounds = client_rounds_;
-    BinaryWriter w;
-    server_opt_->save_state(w);
-    ckpt.server_opt_state = w.take();
-    // Error-feedback residuals are part of the deterministic client state:
-    // recovery must hand each client the exact residual it carried, or the
-    // post-restore timeline diverges from an uninterrupted run.
-    ckpt.client_ef_residuals.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      ckpt.client_ef_residuals.push_back(c->ef_residual());
-    }
-    if (accountant_ != nullptr || config_.secure_aggregation) {
-      ckpt.privacy_state = capture_privacy_state();
-    }
-    if (state_ext_ != nullptr) {
-      state_ext_->on_checkpoint(record);
-      ckpt.tuner_state = state_ext_->capture_state();
-    }
-    checkpoints_.save(std::move(ckpt));
-    checkpoints_.journal_commit(round_);
-    if (tracing) {
-      tracer->record({obs::SpanKind::kCheckpoint, round_,
-                      obs::kAggregatorActor, -1, t_round_end, t_round_end,
-                      ckpt_timer.ns()});
-    }
-  }
-
-  if (tracing) {
-    tracer->record({obs::SpanKind::kRound, round_, obs::kAggregatorActor,
-                    static_cast<std::int32_t>(record.survivors), t0,
-                    t_round_end, round_timer.ns()});
-  }
-  obs_.rounds.add();
-  obs_.tokens.add(record.tokens_this_round);
-  if (t_round_end > t0) {
-    obs_.tokens_per_sim_second.set(
-        static_cast<double>(record.tokens_this_round) / (t_round_end - t0));
-  }
+  save_checkpoint(record, t_round_end, tracing);
 
   PHOTON_LOG_INFO("aggregator",
                   "round %u: K=%zu survivors=%zu loss %.4f update-norm %.4f",
                   round_, cohort.size(), survivors.size(),
                   record.mean_train_loss, record.update_norm);
-
-  history_.add(record);
-  ++round_;
-  schedule_step_base_ += config_.local_steps;
+  finish_round(record, t0, t_round_end, round_timer.ns(), tracing);
   return record;
 }
 
@@ -1020,102 +999,28 @@ double Aggregator::defer_backoff(int client, std::uint32_t count) const {
   return std::max(b, 1e-9);  // strictly positive: a defer must advance time
 }
 
-void Aggregator::async_dispatch(InFlight& slot, int id,
-                                const Message& broadcast,
-                                std::uint32_t dispatch_seq, bool tracing) {
-  obs::Tracer* tracer = config_.tracer;
-  SimLink& link = links_[static_cast<std::size_t>(id)];
-  const double t_dispatch = slot.dispatch_time;
-  const LinkStats before = link.stats();
-  const auto sim_elapsed = [&]() {
-    const LinkStats& now = link.stats();
-    return (now.transfer_seconds - before.transfer_seconds) +
-           (now.backoff_seconds - before.backoff_seconds);
-  };
-  const auto mark = [&](obs::SpanKind kind, double begin, double end,
-                        std::uint64_t real_ns) {
-    tracer->record({kind, round_, id, static_cast<std::int32_t>(dispatch_seq),
-                    begin, end, real_ns});
-  };
-  // Fault decisions key on the dispatch sequence number within this drain,
-  // the async analogue of the sync engine's cohort-attempt salt.
-  ClientRoundFault fault;
-  if (fault_hook_) fault = fault_hook_(round_, id, dispatch_seq);
-  const double straggle = std::max(1.0, fault.straggle_factor);
-  const double train_sim = straggle *
-                           static_cast<double>(config_.local_steps) /
-                           config_.sim_throughput_bps;
-  slot.train_sim_seconds = train_sim;
-  link.set_trace_sim_base(t_dispatch);
-  const obs::RealTimer bcast_timer(tracing);
-  try {
-    link.transmit(broadcast, slot.header);
-  } catch (const TransmitError&) {
-    slot.failure_kind = 2;
-    slot.arrive_time = t_dispatch + sim_elapsed();
-    if (tracing) {
-      mark(obs::SpanKind::kBroadcast, t_dispatch, slot.arrive_time,
-           bcast_timer.ns());
-    }
-    return;
-  }
-  const double bcast_end = t_dispatch + sim_elapsed();
-  if (tracing) {
-    mark(obs::SpanKind::kBroadcast, t_dispatch, bcast_end, bcast_timer.ns());
-  }
-  if (fault.crash) {
-    slot.failure_kind = 1;
-    slot.arrive_time = bcast_end;
-    if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
-    return;
-  }
-  clients_[static_cast<std::size_t>(id)]->set_trace(
-      {tracing ? tracer : nullptr, round_, bcast_end,
-       train_sim / static_cast<double>(config_.local_steps)});
-  const obs::RealTimer train_timer(tracing);
-  clients_[static_cast<std::size_t>(id)]->run_round(
-      slot.header.payload, round_, config_.local_steps, schedule_step_base_,
-      slot.update);
-  slot.trained = true;
-  const double train_end = bcast_end + train_sim;
-  if (tracing) {
-    mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
-  }
-  Message up;
-  up.type = MessageType::kClientUpdate;
-  up.round = round_;
-  up.sender = static_cast<std::uint32_t>(id);
-  up.codec = slot.update.post.codec;
-  up.payload_view = slot.update.delta;
-  up.metadata = slot.update.metrics;
-  const Codec* up_codec = codec_by_name(up.codec);
-  // Secagg masks fp32 ring words server-side, so quantized wire images
-  // must materialize through the classic decode path first.
-  const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
-                      up_codec->quant_bits() != 0;
-  link.set_trace_sim_base(train_end);
-  const obs::RealTimer up_timer(tracing);
-  try {
-    if (stream) {
-      link.transmit_wire(up, slot.header, slot.wire);
-      slot.streamed = true;
-    } else {
-      link.transmit(up, slot.header);
-    }
-  } catch (const TransmitError&) {
-    slot.failure_kind = 2;
-    slot.arrive_time = t_dispatch + sim_elapsed() + train_sim;
-    if (tracing) {
-      mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
-           up_timer.ns());
-    }
-    return;
-  }
-  slot.arrive_time = t_dispatch + sim_elapsed() + train_sim;
-  if (tracing) {
-    mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
-         up_timer.ns());
-  }
+void Aggregator::accept(RoundRecord& record, const InFlight& slot,
+                        std::uint32_t staleness,
+                        std::vector<MetricDict>& metrics,
+                        std::vector<double>& weights) {
+  ++record.survivors;
+  ++async_accepted_total_;
+  record.mean_staleness += static_cast<double>(staleness);  // sum until drain
+  record.max_staleness = std::max(record.max_staleness, staleness);
+  obs_.async_accepted.add();
+  obs_.async_staleness.observe(static_cast<double>(staleness));
+  record.tokens_this_round += slot.update.tokens;
+  record.mean_train_loss += slot.update.mean_train_loss;
+  record.participants.push_back(slot.client);
+  metrics.push_back(slot.header.metadata);
+  weights.push_back(static_cast<double>(slot.update.tokens));
+  obs_.client_sim_seconds.observe(slot.arrive_time - slot.dispatch_time);
+}
+
+void Aggregator::discard(RoundRecord& record, std::size_t count) {
+  record.discarded_updates += static_cast<int>(count);
+  async_discarded_total_ += count;
+  if (count > 0) obs_.async_discarded.add(count);
 }
 
 RoundRecord Aggregator::run_round_async() {
@@ -1124,15 +1029,7 @@ RoundRecord Aggregator::run_round_async() {
   const bool tracing = tracer != nullptr && tracer->sampled(round_);
   const obs::RealTimer round_timer(tracing);
   const double t0 = sim_now_;
-
-  LinkStats agg_before;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_before.wire_bytes += s.wire_bytes;
-    agg_before.retries += s.retries;
-    agg_before.corrupt_chunks += s.corrupt_chunks;
-    agg_before.backoff_seconds += s.backoff_seconds;
-  }
+  const LinkStats agg_before = sum_link_stats();
 
   RoundRecord record;
   record.round = round_;
@@ -1149,38 +1046,26 @@ RoundRecord Aggregator::run_round_async() {
   std::fill(dispatch_seq_.begin(), dispatch_seq_.end(), 0u);
 
   const std::size_t n = global_params_.size();
-  if (async_acc_.size() != n) async_acc_.resize(n);
-  std::fill(async_acc_.begin(), async_acc_.end(), 0.0);
-  double weight_sum = 0.0;
-  int accepted = 0;
-  double staleness_sum = 0.0;
-  std::vector<int> accepted_clients;
+  fold_.reset(n);
   std::vector<MetricDict> accepted_metrics;
   std::vector<double> accepted_weights;
-  accepted_clients.reserve(static_cast<std::size_t>(goal));
   accepted_metrics.reserve(static_cast<std::size_t>(goal));
   accepted_weights.reserve(static_cast<std::size_t>(goal));
+  std::vector<std::uint64_t> chunk_ns;
   double first_dispatch = -1.0;
 
   // One broadcast borrows the global parameters for the whole drain: the
   // model only mutates at drain boundaries, so every dispatch wave in this
   // drain ships identical bytes and `round` pins the trained-on version.
-  Message broadcast;
-  broadcast.type = MessageType::kModelBroadcast;
-  broadcast.round = round_;
-  broadcast.sender = 0;
-  broadcast.payload_view = global_params_;
-  broadcast.metadata["local_steps"] = config_.local_steps;
+  const Message broadcast = make_broadcast();
 
-  std::vector<int> wave;
-  std::vector<std::size_t> wave_slots;
+  std::vector<std::size_t> wave;  // slots admitted this top-up
   std::vector<std::uint32_t> wave_seq;
   std::vector<std::pair<std::uint64_t, int>> candidates;
 
-  while (accepted < goal) {
+  while (record.survivors < goal) {
     // --- admission control: batched top-up waves ------------------------
-    std::size_t busy = 0;
-    for (const InFlight& s : slots_) busy += s.busy ? 1 : 0;
+    const auto busy = static_cast<std::size_t>(async_in_flight());
     const std::size_t free = cap > busy ? cap - busy : 0;
     // Waves are chunky on purpose: top up only when at least half the
     // slots are free (or nothing is in flight), so admitted clients train
@@ -1201,7 +1086,6 @@ RoundRecord Aggregator::run_round_async() {
       }
       std::sort(candidates.begin(), candidates.end());
       wave.clear();
-      wave_slots.clear();
       wave_seq.clear();
       std::size_t next_free = 0;
       for (const auto& [key, c] : candidates) {
@@ -1210,19 +1094,10 @@ RoundRecord Aggregator::run_round_async() {
           while (slots_[next_free].busy) ++next_free;
           InFlight& slot = slots_[next_free];
           slot.busy = true;
-          slot.client = c;
-          slot.dispatch_time = sim_now_;
-          slot.arrive_time = sim_now_;
-          slot.dispatch_version = round_;
-          slot.wave_id = 0;
-          slot.failure_kind = 0;
-          slot.trained = false;
-          slot.streamed = false;
-          slot.train_sim_seconds = 0.0;
+          slot.start(c, sim_now_, round_);
           client_slot_[ci] = static_cast<int>(next_free);
           defer_counts_[ci] = 0;
-          wave.push_back(c);
-          wave_slots.push_back(next_free);
+          wave.push_back(next_free);
           wave_seq.push_back(dispatch_seq_[ci]++);
           ++next_free;
           if (first_dispatch < 0.0) first_dispatch = sim_now_;
@@ -1247,12 +1122,15 @@ RoundRecord Aggregator::run_round_async() {
         // wave, seeded by the persisted wave counter (key agreement
         // piggybacks on the dispatch — no extra exchange round-trips).
         const std::uint64_t wid = ++secagg_wave_counter_;
-        for (const std::size_t si : wave_slots) slots_[si].wave_id = wid;
+        for (const std::size_t si : wave) slots_[si].wave_id = wid;
       }
       if (!wave.empty()) {
+        // Fault decisions key on the dispatch sequence number within this
+        // drain, the async analogue of the sync engine's cohort-attempt
+        // salt.  Async ignores round_deadline_s: lateness is staleness.
         auto dispatch_one = [&](std::size_t i) {
-          async_dispatch(slots_[wave_slots[i]], wave[i], broadcast,
-                         wave_seq[i], tracing);
+          dispatch(slots_[wave[i]], broadcast, wave_seq[i],
+                   /*deadline_s=*/0.0, /*round_clock=*/false, tracing);
         };
         if (config_.parallel_clients && wave.size() > 1) {
           global_pool().parallel_for(wave.size(), dispatch_one);
@@ -1260,17 +1138,15 @@ RoundRecord Aggregator::run_round_async() {
           for (std::size_t i = 0; i < wave.size(); ++i) dispatch_one(i);
         }
         // Serial bookkeeping: data-stream positions advance in wave order.
-        for (std::size_t i = 0; i < wave.size(); ++i) {
-          if (slots_[wave_slots[i]].trained) {
-            ++client_rounds_[static_cast<std::size_t>(wave[i])];
+        for (const std::size_t si : wave) {
+          if (slots_[si].trained) {
+            ++client_rounds_[static_cast<std::size_t>(slots_[si].client)];
           }
         }
       }
     }
 
-    std::size_t busy_now = 0;
-    for (const InFlight& s : slots_) busy_now += s.busy ? 1 : 0;
-    if (busy_now == 0) {
+    if (async_in_flight() == 0) {
       // Nothing in flight and nobody admissible right now: jump the sim
       // clock to the earliest deferral expiry and run admission again.
       double t_next = std::numeric_limits<double>::infinity();
@@ -1294,25 +1170,16 @@ RoundRecord Aggregator::run_round_async() {
       // is the atomic unit of arrival: it resolves at its slowest member's
       // arrive_time.  Order on (ready_time, wave_id) — content-based, so
       // replay and restore pop the identical wave sequence.
-      std::uint64_t best_wid = 0;
-      double best_ready = 0.0;
-      bool found = false;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].busy) continue;
-        const std::uint64_t wid = slots_[i].wave_id;
-        double ready = 0.0;
-        for (const InFlight& s : slots_) {
-          if (s.busy && s.wave_id == wid) {
-            ready = std::max(ready, s.arrive_time);
-          }
-        }
-        if (!found || ready < best_ready ||
-            (ready == best_ready && wid < best_wid)) {
-          found = true;
-          best_wid = wid;
-          best_ready = ready;
-        }
+      std::map<std::uint64_t, double> ready;  // wave id -> resolve time
+      for (const InFlight& s : slots_) {
+        if (!s.busy) continue;
+        const auto [it, fresh] = ready.try_emplace(s.wave_id, s.arrive_time);
+        if (!fresh) it->second = std::max(it->second, s.arrive_time);
       }
+      const auto [best_wid, best_ready] = *std::min_element(
+          ready.begin(), ready.end(), [](const auto& a, const auto& b) {
+            return std::pair(a.second, a.first) < std::pair(b.second, b.first);
+          });
       sim_now_ = std::max(sim_now_, best_ready);
       std::vector<std::size_t> member_slots;
       for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -1327,103 +1194,58 @@ RoundRecord Aggregator::run_round_async() {
                   return slots_[a].client < slots_[b].client;
                 });
       std::vector<int> cohort;
-      cohort.reserve(member_slots.size());
-      for (const std::size_t si : member_slots) {
-        cohort.push_back(slots_[si].client);
-      }
       std::vector<int> surv_pos;
       std::vector<int> drop_pos;
-      for (int pos = 0; pos < static_cast<int>(cohort.size()); ++pos) {
+      std::vector<std::span<const float>> updates;
+      for (int pos = 0; pos < static_cast<int>(member_slots.size()); ++pos) {
         const InFlight& s = slots_[member_slots[static_cast<std::size_t>(pos)]];
-        if (s.failure_kind == 1) {
-          ++record.crashed_clients;
-          obs_.crashes.add();
-          drop_pos.push_back(pos);
-        } else if (s.failure_kind == 2) {
-          ++record.link_failed_clients;
-          obs_.link_failures.add();
+        cohort.push_back(s.client);
+        if (s.failure != Failure::kOk) {
+          tally_failure(record, s.failure);
           drop_pos.push_back(pos);
         } else if (membership_[static_cast<std::size_t>(s.client)] !=
                    MembershipState::kActive) {
           // Departed while masked and in flight: the update is discarded,
           // but its pair masks are woven into the survivors' contributions,
           // so it is a dropout — survivors reconstruct its seed from shares.
-          ++record.discarded_updates;
-          ++async_discarded_total_;
-          obs_.async_discarded.add();
+          discard(record, 1);
           drop_pos.push_back(pos);
         } else {
           surv_pos.push_back(pos);
+          updates.emplace_back(s.header.payload);
         }
       }
-      SecAggConfig scfg;
-      scfg.fixed_point_bits = config_.privacy.secagg_fixed_point_bits;
-      scfg.share_threshold_fraction =
-          config_.privacy.secagg_threshold_fraction;
-      scfg.session_seed =
-          hash_combine(hash_combine(config_.seed, kSecAggTag), best_wid);
-      const SecAggSession session(cohort, scfg);
+      const SecAggSession session(cohort, secagg_config(config_, best_wid));
       if (surv_pos.empty() ||
           static_cast<int>(surv_pos.size()) < session.threshold()) {
         // Below the share threshold the wave is unrecoverable; discard it
         // whole — the protocol never reveals a partial sum.
-        record.discarded_updates += static_cast<int>(surv_pos.size());
-        async_discarded_total_ += surv_pos.size();
-        if (!surv_pos.empty()) obs_.async_discarded.add(surv_pos.size());
+        discard(record, surv_pos.size());
       } else {
-        if (secagg_acc_.size() != n) secagg_acc_.resize(n);
-        std::fill(secagg_acc_.begin(), secagg_acc_.end(),
-                  std::uint64_t{0});
-        for (const int pos : surv_pos) {
-          const InFlight& s =
-              slots_[member_slots[static_cast<std::size_t>(pos)]];
-          if (s.header.payload.size() != n) {
-            throw std::runtime_error(
-                "Aggregator::run_round_async: update size mismatch");
-          }
-          session.mask_update_into(pos, s.header.payload, secagg_acc_,
-                                   kernels::default_context());
-        }
+        // The wave mean lands in pseudo_grad_ (scratch until the drain's
+        // finish).  All wave members trained the same dispatch version, so
+        // one staleness weight covers the wave: fold w * n_ok * mean —
+        // exactly the sum the per-member path would have accumulated.
+        pseudo_grad_.resize(n);
+        session.masked_mean(surv_pos, updates, drop_pos, secagg_acc_,
+                            pseudo_grad_, kernels::default_context(), tracer,
+                            round_, sim_now_, tracing);
         if (!drop_pos.empty()) {
-          session.recover_dropouts(surv_pos, drop_pos, secagg_acc_,
-                                   kernels::default_context(), tracer, round_,
-                                   sim_now_, tracing);
           record.secagg_dropouts_recovered +=
               static_cast<int>(drop_pos.size());
           shares_reconstructed_total_ += drop_pos.size();
           obs_.share_recoveries.add(drop_pos.size());
         }
-        const int n_ok = static_cast<int>(surv_pos.size());
-        std::vector<float> wave_mean(n);
-        session.decode_mean(secagg_acc_, n_ok, wave_mean,
-                            kernels::default_context());
-        // All wave members trained the same dispatch version, so one
-        // staleness weight covers the wave: fold w * n_ok * mean — exactly
-        // the sum the per-member path would have accumulated.
         const std::uint32_t staleness =
             round_ - slots_[member_slots[0]].dispatch_version;
-        const double w = staleness_weight(staleness);
-        const double scale = w * static_cast<double>(n_ok);
-        for (std::size_t e = 0; e < n; ++e) {
-          async_acc_[e] += scale * static_cast<double>(wave_mean[e]);
-        }
-        weight_sum += scale;
+        const WeightedMeanFold::Member wave_mean{
+            pseudo_grad_, nullptr,
+            staleness_weight(staleness) * static_cast<double>(surv_pos.size())};
+        fold_.fold({&wave_mean, 1}, config_.parallel_clients);
         obs_.secagg_rounds.add();
         for (const int pos : surv_pos) {
-          const InFlight& s =
-              slots_[member_slots[static_cast<std::size_t>(pos)]];
-          ++accepted;
-          ++async_accepted_total_;
-          staleness_sum += static_cast<double>(staleness);
-          record.max_staleness = std::max(record.max_staleness, staleness);
-          obs_.async_accepted.add();
-          obs_.async_staleness.observe(static_cast<double>(staleness));
-          record.tokens_this_round += s.update.tokens;
-          record.mean_train_loss += s.update.mean_train_loss;
-          accepted_clients.push_back(s.client);
-          accepted_metrics.push_back(s.header.metadata);
-          accepted_weights.push_back(static_cast<double>(s.update.tokens));
-          obs_.client_sim_seconds.observe(s.arrive_time - s.dispatch_time);
+          accept(record, slots_[member_slots[static_cast<std::size_t>(pos)]],
+                 staleness, accepted_metrics, accepted_weights);
         }
       }
       for (const std::size_t si : member_slots) {
@@ -1448,194 +1270,70 @@ RoundRecord Aggregator::run_round_async() {
     }
     InFlight& slot = slots_[pick];
     sim_now_ = std::max(sim_now_, slot.arrive_time);
-    const int id = slot.client;
-    if (slot.failure_kind == 1) {
-      ++record.crashed_clients;
-      obs_.crashes.add();
-    } else if (slot.failure_kind == 2) {
-      ++record.link_failed_clients;
-      obs_.link_failures.add();
-    } else if (membership_[static_cast<std::size_t>(id)] !=
+    if (slot.failure != Failure::kOk) {
+      tally_failure(record, slot.failure);
+    } else if (membership_[static_cast<std::size_t>(slot.client)] !=
                MembershipState::kActive) {
-      // The client departed while its update was in flight: discard.
-      ++record.discarded_updates;
-      ++async_discarded_total_;
-      obs_.async_discarded.add();
+      discard(record, 1);  // departed while its update was in flight
     } else {
-      // Accept into the buffer: staleness-weighted fp64 accumulate,
-      // streamed chunk-wise from the retained wire image — the full fp32
-      // update of a quantized client is never materialized.
+      // Accept into the buffer: a staleness-weighted fold, streamed chunk
+      // by chunk from the retained wire image — the full fp32 update of a
+      // quantized client is never materialized.
       const std::uint32_t staleness = round_ - slot.dispatch_version;
-      const double w = staleness_weight(staleness);
-      if (slot.streamed) {
-        const WireView& v = slot.wire;
-        if (static_cast<std::size_t>(v.elems) != n) {
-          throw std::runtime_error(
-              "Aggregator::run_round_async: update size mismatch");
-        }
-        const Codec* codec = codec_by_name(v.codec);
-        auto accum_chunk = [&](std::size_t c) {
-          const obs::RealTimer chunk_timer(tracing);
-          const std::size_t len = v.raw_len(c) / sizeof(float);
-          std::vector<float> tmp(len);
-          codec->decompress_into(v.chunk(c),
-                                 {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                                  len * sizeof(float)});
-          double* acc = async_acc_.data() + v.raw_off(c) / sizeof(float);
-          for (std::size_t e = 0; e < len; ++e) {
-            acc[e] += w * static_cast<double>(tmp[e]);
-          }
-          if (tracing) {
-            tracer->record({obs::SpanKind::kDequantAccum, round_,
-                            obs::kAggregatorActor,
-                            static_cast<std::int32_t>(c), sim_now_, sim_now_,
-                            chunk_timer.ns()});
-          }
-        };
-        if (config_.parallel_clients && v.n_chunks() > 1) {
-          global_pool().parallel_for(v.n_chunks(), accum_chunk);
-        } else {
-          for (std::size_t c = 0; c < v.n_chunks(); ++c) accum_chunk(c);
-        }
-      } else {
-        const std::vector<float>& p = slot.header.payload;
-        if (p.size() != n) {
-          throw std::runtime_error(
-              "Aggregator::run_round_async: update size mismatch");
-        }
-        for (std::size_t e = 0; e < n; ++e) {
-          async_acc_[e] += w * static_cast<double>(p[e]);
+      const WeightedMeanFold::Member update =
+          slot.member(staleness_weight(staleness));
+      fold_.fold({&update, 1}, config_.parallel_clients,
+                 tracing ? &chunk_ns : nullptr);
+      if (tracing && slot.streamed) {
+        for (std::size_t c = 0; c < chunk_ns.size(); ++c) {
+          tracer->record({obs::SpanKind::kDequantAccum, round_,
+                          obs::kAggregatorActor, static_cast<std::int32_t>(c),
+                          sim_now_, sim_now_, chunk_ns[c]});
         }
       }
-      weight_sum += w;
-      ++accepted;
-      ++async_accepted_total_;
-      staleness_sum += static_cast<double>(staleness);
-      record.max_staleness = std::max(record.max_staleness, staleness);
-      obs_.async_accepted.add();
-      obs_.async_staleness.observe(static_cast<double>(staleness));
-      record.tokens_this_round += slot.update.tokens;
-      record.mean_train_loss += slot.update.mean_train_loss;
-      accepted_clients.push_back(id);
-      accepted_metrics.push_back(slot.header.metadata);
-      accepted_weights.push_back(static_cast<double>(slot.update.tokens));
-      obs_.client_sim_seconds.observe(slot.arrive_time - slot.dispatch_time);
+      accept(record, slot, staleness, accepted_metrics, accepted_weights);
     }
     // Free the slot; the client may request admission again immediately.
     slot.busy = false;
-    client_slot_[static_cast<std::size_t>(id)] = -1;
+    client_slot_[static_cast<std::size_t>(slot.client)] = -1;
   }
 
   // --- drain: staleness-weighted server step ----------------------------
-  record.participants = accepted_clients;
-  record.survivors = accepted;
+  const int accepted = record.survivors;
   record.mean_train_loss =
       accepted > 0 ? record.mean_train_loss / accepted : 0.0;
   record.mean_staleness =
-      accepted > 0 ? staleness_sum / static_cast<double>(accepted) : 0.0;
+      accepted > 0 ? record.mean_staleness / static_cast<double>(accepted)
+                   : 0.0;
   pseudo_grad_.resize(n);
-  const double inv = weight_sum > 0.0 ? 1.0 / weight_sum : 0.0;
-  for (std::size_t e = 0; e < n; ++e) {
-    pseudo_grad_[e] = static_cast<float>(async_acc_[e] * inv);
-  }
+  fold_.finish(pseudo_grad_);
   record.update_norm = kernels::l2_norm(pseudo_grad_.data(), n);
-
-  const obs::RealTimer server_opt_timer(tracing);
-  checkpoints_.journal_begin(round_);
-  server_opt_->apply(global_params_, pseudo_grad_);
-  if (tracing) {
-    tracer->record({obs::SpanKind::kServerOpt, round_, obs::kAggregatorActor,
-                    -1, sim_now_, sim_now_, server_opt_timer.ns()});
-  }
+  apply_server_opt(pseudo_grad_, sim_now_, tracing);
   record.client_metrics =
       aggregate_metrics(accepted_metrics, accepted_weights);
   record.secure_round = config_.secure_aggregation;
   account_privacy(record);
-
-  LinkStats agg_after;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_after.wire_bytes += s.wire_bytes;
-    agg_after.retries += s.retries;
-    agg_after.corrupt_chunks += s.corrupt_chunks;
-    agg_after.backoff_seconds += s.backoff_seconds;
-  }
-  record.comm_bytes = agg_after.wire_bytes - agg_before.wire_bytes;
-  record.link_retries = agg_after.retries - agg_before.retries;
-  record.corrupt_chunks = agg_after.corrupt_chunks - agg_before.corrupt_chunks;
-  record.backoff_seconds =
-      agg_after.backoff_seconds - agg_before.backoff_seconds;
-  record.sim_local_seconds =
-      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
+  close_record(record, agg_before, 0, t_round);
   record.sim_slowest_client_seconds = sim_now_ - t0;
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
-          .count();
 
-  // Checkpoint at the drain boundary, after the record is complete (but
-  // before the kBufferDrain / kRound spans) so a state extension folds the
-  // finished drain into what it captures — same contract as the sync path.
-  if (config_.checkpoint_every > 0 &&
-      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) == 0) {
-    const obs::RealTimer ckpt_timer(tracing);
-    Checkpoint ckpt;
-    ckpt.round = round_;
-    ckpt.params = global_params_;
-    ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
-    ckpt.client_trained_rounds = client_rounds_;
-    BinaryWriter w;
-    server_opt_->save_state(w);
-    ckpt.server_opt_state = w.take();
-    ckpt.client_ef_residuals.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      ckpt.client_ef_residuals.push_back(c->ef_residual());
-    }
-    // The drain boundary is the async save point: the accumulator is empty
-    // here, so the buffer's durable form is the pending in-flight updates
-    // plus the admission/membership counters and the sim clock.
-    ckpt.async_state = capture_async_state();
-    if (state_ext_ != nullptr) {
-      state_ext_->on_checkpoint(record);
-      ckpt.tuner_state = state_ext_->capture_state();
-    }
-    if (accountant_ != nullptr || config_.secure_aggregation) {
-      ckpt.privacy_state = capture_privacy_state();
-    }
-    checkpoints_.save(std::move(ckpt));
-    checkpoints_.journal_commit(round_);
-    if (tracing) {
-      tracer->record({obs::SpanKind::kCheckpoint, round_,
-                      obs::kAggregatorActor, -1, sim_now_, sim_now_,
-                      ckpt_timer.ns()});
-    }
-  }
+  // Checkpoint at the drain boundary, before the kBufferDrain / kRound
+  // spans — same contract as the sync path.
+  save_checkpoint(record, sim_now_, tracing);
 
   if (tracing) {
     const double drain_begin = first_dispatch >= 0.0 ? first_dispatch : t0;
     tracer->record({obs::SpanKind::kBufferDrain, round_, obs::kAggregatorActor,
                     accepted, drain_begin, sim_now_, 0});
-    tracer->record({obs::SpanKind::kRound, round_, obs::kAggregatorActor,
-                    accepted, t0, sim_now_, round_timer.ns()});
   }
-  obs_.rounds.add();
   obs_.async_drains.add();
-  obs_.tokens.add(record.tokens_this_round);
   obs_.async_in_flight.set(static_cast<double>(async_in_flight()));
-  if (sim_now_ > t0) {
-    obs_.tokens_per_sim_second.set(
-        static_cast<double>(record.tokens_this_round) / (sim_now_ - t0));
-  }
-
   PHOTON_LOG_INFO("aggregator",
                   "drain %u: accepted=%d staleness mean %.2f max %u "
                   "deferred=%u loss %.4f",
                   round_, accepted, record.mean_staleness,
                   record.max_staleness, record.admission_deferred,
                   record.mean_train_loss);
-
-  history_.add(record);
-  ++round_;
-  schedule_step_base_ += config_.local_steps;
+  finish_round(record, t0, sim_now_, round_timer.ns(), tracing);
   return record;
 }
 
@@ -1668,12 +1366,12 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
     u.arrive_time = slot->arrive_time;
     u.dispatch_version = slot->dispatch_version;
     u.wave_id = slot->wave_id;
-    u.failure_kind = slot->failure_kind;
+    u.failure_kind = static_cast<std::uint8_t>(slot->failure);
     u.tokens = slot->update.tokens;
     u.mean_train_loss = slot->update.mean_train_loss;
     u.train_sim_seconds = slot->train_sim_seconds;
     u.metrics = slot->header.metadata;
-    if (slot->failure_kind == 0) {
+    if (slot->failure == Failure::kOk) {
       if (slot->streamed) {
         const WireView& v = slot->wire;
         u.codec = v.codec;
@@ -1705,12 +1403,6 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
 }
 
 void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
-  if (st.membership.size() != clients_.size() ||
-      st.defer_counts.size() != clients_.size() ||
-      st.next_eligible.size() != clients_.size()) {
-    throw std::runtime_error(
-        "Aggregator: async checkpoint population mismatch");
-  }
   sim_now_ = st.sim_now;
   async_accepted_total_ = st.accepted_total;
   async_discarded_total_ = st.discarded_total;
@@ -1732,25 +1424,20 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
   std::fill(client_slot_.begin(), client_slot_.end(), -1);
   for (std::size_t i = 0; i < st.in_flight.size(); ++i) {
     const AsyncInFlightSnapshot& u = st.in_flight[i];
-    if (u.client < 0 || u.client >= population()) {
-      throw std::runtime_error("Aggregator: async checkpoint bad client id");
-    }
     InFlight& slot = slots_[i];
+    slot.start(u.client, u.arrive_time - u.train_sim_seconds,
+               u.dispatch_version);
     slot.busy = true;
-    slot.client = u.client;
-    slot.dispatch_time = u.arrive_time - u.train_sim_seconds;
     slot.arrive_time = u.arrive_time;
-    slot.dispatch_version = u.dispatch_version;
     slot.wave_id = u.wave_id;
-    slot.failure_kind = u.failure_kind;
-    slot.trained = false;  // its stream advance is already in the ckpt
+    slot.failure = static_cast<Failure>(u.failure_kind);
     slot.train_sim_seconds = u.train_sim_seconds;
     slot.update.tokens = u.tokens;
     slot.update.mean_train_loss = u.mean_train_loss;
     slot.header.metadata = u.metrics;
     slot.header.sender = static_cast<std::uint32_t>(u.client);
     slot.header.round = u.dispatch_version;
-    slot.streamed = u.failure_kind == 0 && !u.codec.empty();
+    slot.streamed = slot.failure == Failure::kOk && !u.codec.empty();
     if (slot.streamed) {
       WireView& v = slot.wire;
       v.bytes = u.chunk_bytes;
@@ -1765,7 +1452,7 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
         v.offs.push_back(off);
         off += len;
       }
-    } else if (u.failure_kind == 0) {
+    } else if (slot.failure == Failure::kOk) {
       slot.header.payload.resize(static_cast<std::size_t>(u.elems));
       std::memcpy(slot.header.payload.data(), u.chunk_bytes.data(),
                   u.chunk_bytes.size());
@@ -1814,6 +1501,10 @@ bool Aggregator::restore_latest_checkpoint() {
   if (!ckpt.has_value()) ckpt = checkpoints_.latest();
   if (!ckpt.has_value()) return false;
   if (ckpt->params.size() != global_params_.size()) return false;
+  if (ckpt->async_state.valid) {
+    check_async_state(ckpt->async_state, clients_.size(),
+                      global_params_.size());
+  }
 
   global_params_ = ckpt->params;
   round_ = ckpt->round + 1;

@@ -18,6 +18,7 @@
 // metadata make crash recovery exact: ServerOpt is applied exactly once per
 // completed round and the LR schedule resumes bit-identically.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -25,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "comm/collective.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/link.hpp"
 #include "core/checkpoint.hpp"
@@ -281,24 +283,36 @@ class Aggregator {
   }
 
  private:
-  /// One occupied admission slot: a dispatched update in flight between the
-  /// server and a client.  Slots are reused across the whole run (their
-  /// message/wire/update buffers keep capacity), so async resident memory
-  /// is bounded by max_in_flight regardless of population.
+  /// Outcome of one client dispatch.  The values are persisted in async
+  /// checkpoints (AsyncInFlightSnapshot::failure_kind) and must not change;
+  /// kLate (deadline cut) only happens in sync rounds.
+  enum class Failure : std::uint8_t { kOk = 0, kCrash = 1, kLink = 2, kLate = 3 };
+
+  /// One dispatched client update: a sync cohort position, or an occupied
+  /// async admission slot.  Slots are reused across the whole run (their
+  /// message/wire/update buffers keep capacity), so resident memory is
+  /// bounded by the cohort size / max_in_flight regardless of population.
   struct InFlight {
-    bool busy = false;
+    bool busy = false;  // async: admission slot occupied
     int client = -1;
     double dispatch_time = 0.0;
     double arrive_time = 0.0;            // when the outcome reaches the server
+    double sim_seconds = 0.0;            // link + train sim time (sync charge)
     std::uint32_t dispatch_version = 0;  // server version trained against
     std::uint64_t wave_id = 0;           // secagg dispatch wave (0 = plain)
-    std::uint8_t failure_kind = 0;       // 0 ok, 1 crash, 2 link failure
+    Failure failure = Failure::kOk;
     bool trained = false;                // local data stream advanced
     bool streamed = false;               // update retained as a wire image
     double train_sim_seconds = 0.0;
+    double train_wall_seconds = 0.0;     // measured local training time
     Message header;       // received update header (metadata = metrics)
     WireView wire;        // retained quantized wire image when streamed
     ClientUpdate update;  // reused delta/metric storage
+
+    /// Reset the outcome for a new dispatch of `id` at sim time `t`.
+    void start(int id, double t, std::uint32_t version);
+    /// The received update as a fold member: wire image or fp32 payload.
+    WeightedMeanFold::Member member(double weight) const;
   };
 
   RoundRecord run_round_sync();
@@ -314,10 +328,41 @@ class Aggregator {
   /// consecutive defer; keyed on (retry.jitter_seed, client, count) so a
   /// restored run reproduces the exact deferral timeline.
   double defer_backoff(int client, std::uint32_t count) const;
-  /// Train + transmit one admitted client into `slot` (parallel-safe: only
-  /// this slot, this client, and this client's link are touched).
-  void async_dispatch(InFlight& slot, int client, const Message& broadcast,
-                      std::uint32_t dispatch_seq, bool tracing);
+  /// The one client pipeline of both engines (Alg. 1 L5-7): broadcast ->
+  /// fault hook -> deadline cut -> local train -> update return (streamed
+  /// wire image or fp32) for the client in `slot`, starting at
+  /// slot.dispatch_time.  Parallel-safe: only this slot, its client and its
+  /// link are touched.  `salt` keys the fault hook and tags the spans (sync
+  /// cohort attempt / async dispatch sequence); `deadline_s` > 0 cuts
+  /// stragglers.  `round_clock` selects the sim-time association, which is
+  /// part of the replay contract: sync rounds charge t + (link + train)
+  /// from the round start, async dispatches (t + link) + train on the event
+  /// clock.
+  void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t salt,
+                double deadline_s, bool round_clock, bool tracing);
+  Message make_broadcast() const;
+  /// Count a failed dispatch on the record and the obs counters.
+  void tally_failure(RoundRecord& record, Failure failure);
+  /// Async: accept a resolved update into the drain's record/metrics.
+  void accept(RoundRecord& record, const InFlight& slot,
+              std::uint32_t staleness, std::vector<MetricDict>& metrics,
+              std::vector<double>& weights);
+  /// Async: drop `count` updates whose clients departed (or whose secagg
+  /// wave fell below the share threshold).
+  void discard(RoundRecord& record, std::size_t count);
+  LinkStats sum_link_stats() const;
+  /// Close the record's link/wall telemetry against the round-start sums.
+  void close_record(RoundRecord& record, const LinkStats& before,
+                    std::uint64_t collective_bytes,
+                    std::chrono::steady_clock::time_point t_round) const;
+  /// ServerOpt (Alg. 1 L9) bracketed by the write-ahead journal's begin.
+  void apply_server_opt(std::span<const float> pseudo_grad, double t,
+                        bool tracing);
+  /// Checkpoint (L11) with recovery metadata, journal commit and span.
+  void save_checkpoint(const RoundRecord& record, double t, bool tracing);
+  /// kRound span, round counters, history, and the round/schedule advance.
+  void finish_round(RoundRecord& record, double t0, double t_end,
+                    std::uint64_t round_real_ns, bool tracing);
   AsyncAggregatorState capture_async_state() const;
   void restore_async_state(const AsyncAggregatorState& state);
   /// Compose this round into the accountant and publish eps on the record.
@@ -368,14 +413,9 @@ class Aggregator {
   /// forward every client's stream to the exact token it would have read.
   std::vector<std::uint32_t> client_rounds_;
 
-  // Per-cohort-slot buffers reused across rounds: received messages (their
-  // payload capacity persists), client updates (delta buffers persist),
-  // retained wire images for the streamed quantized fan-in (their byte
-  // capacity persists), and the aggregation sum.  Round 1 allocates; later
-  // rounds don't.
-  std::vector<Message> rx_;
-  std::vector<WireView> wire_rx_;
-  std::vector<ClientUpdate> updates_;
+  // Aggregation buffers reused across rounds: the fp64 mean accumulator
+  // and the fp32 mean handed to ServerOpt.
+  WeightedMeanFold fold_;
   std::vector<float> pseudo_grad_;
 
   // --- elastic async engine state (DESIGN.md §12) -----------------------
@@ -384,11 +424,10 @@ class Aggregator {
   std::vector<std::uint32_t> defer_counts_;   // consecutive admission defers
   std::vector<double> next_eligible_;         // sim time a defer expires
   std::vector<std::uint32_t> dispatch_seq_;   // dispatches per client per drain
-  std::vector<InFlight> slots_;               // sized max_in_flight, reused
+  std::vector<InFlight> slots_;               // sync cohort / async slots
   std::vector<int> client_slot_;              // client -> slot, -1 = idle
   std::uint64_t async_accepted_total_ = 0;
   std::uint64_t async_discarded_total_ = 0;
-  std::vector<double> async_acc_;  // fp64 staleness-weighted accumulator
 
   // --- privacy engine state (DESIGN.md §14) -----------------------------
   /// RDP accountant (built when any client adds DP noise); composes one

@@ -245,43 +245,45 @@ TEST(SecureAgg, MasksCancelInTheSum) {
     plain_mean[i] /= static_cast<float>(k);
   }
 
-  SecureAggregator sec(k, 0xFEED);
-  std::vector<std::vector<std::uint64_t>> masked(
-      k, std::vector<std::uint64_t>(n));
-  for (int c = 0; c < k; ++c) {
-    sec.mask_update(c, updates[static_cast<std::size_t>(c)],
-                    masked[static_cast<std::size_t>(c)]);
-  }
+  std::vector<int> cohort(k);
+  for (int c = 0; c < k; ++c) cohort[static_cast<std::size_t>(c)] = c;
+  const SecAggSession sec(cohort, SecAggConfig{32, 0.5, 0xFEED});
+  const kernels::KernelContext ctx;
 
   // Individual masked updates decode to garbage...
-  const double scale = sec.session().fixed_point_scale();
+  std::vector<std::uint64_t> masked0(n, 0);
+  sec.mask_update_into(0, updates[0], masked0, ctx);
+  const double scale = sec.fixed_point_scale();
   double distortion = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double decoded =
-        static_cast<double>(static_cast<std::int64_t>(masked[0][i])) / scale;
+        static_cast<double>(static_cast<std::int64_t>(masked0[i])) / scale;
     distortion += std::min(1e6, std::abs(decoded - updates[0][i]));
   }
   EXPECT_GT(distortion / n, 0.5);
 
   // ...but the decoded mean of the wrapped sum matches the plain mean up
   // to fixed-point rounding.
-  std::vector<std::span<const std::uint64_t>> views(masked.begin(),
-                                                    masked.end());
+  const std::vector<std::span<const float>> views(updates.begin(),
+                                                  updates.end());
+  std::vector<std::uint64_t> acc;
   std::vector<float> mean(n, 0.0f);
-  sec.unmask_mean(views, mean);
+  sec.masked_mean(cohort, views, {}, acc, mean, ctx);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(mean[i], plain_mean[i], 1e-6f);
   }
 }
 
 TEST(SecureAgg, Validation) {
-  EXPECT_THROW(SecureAggregator(1, 1), std::invalid_argument);
-  SecureAggregator sec(3, 1);
+  EXPECT_THROW(SecAggSession({}, SecAggConfig{}), std::invalid_argument);
+  const SecAggSession sec({0, 1, 2}, SecAggConfig{32, 0.5, 1});
+  const kernels::KernelContext ctx;
   std::vector<float> buf(4, 0.0f);
   std::vector<std::uint64_t> out(4, 0);
-  EXPECT_THROW(sec.mask_update(3, buf, out), std::out_of_range);
+  EXPECT_THROW(sec.mask_update_into(3, buf, out, ctx), std::out_of_range);
   std::vector<std::uint64_t> ragged(3, 0);
-  EXPECT_THROW(sec.mask_update(0, buf, ragged), std::invalid_argument);
+  EXPECT_THROW(sec.mask_update_into(0, buf, ragged, ctx),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------- cost model --
@@ -748,21 +750,27 @@ TEST(SimLink, RetryTimelineIsDeterministic) {
   EXPECT_EQ(a.retries, b.retries);
 }
 
-TEST(SecureAgg, ParallelSumIntoMatchesSerialBitExactly) {
+TEST(SecureAgg, ParallelMaskedMeanMatchesSerialBitExactly) {
   ThreadPool pool(4);
   const kernels::KernelContext par(&pool, 4, /*grain=*/1);
   const kernels::KernelContext ser;
   const std::size_t n = 997;
-  std::vector<std::vector<float>> updates(5);
+  std::vector<std::vector<float>> updates(4);
   Rng rng(77);
   for (auto& u : updates) {
     u.resize(n);
     for (auto& x : u) x = rng.gaussian(0.0f, 2.0f);
   }
-  std::vector<std::span<const float>> views(updates.begin(), updates.end());
+  // Five members, member 2 dropped: masking, recovery and decode all shard.
+  const SecAggSession sec({0, 1, 2, 3, 4}, SecAggConfig{32, 0.5, 0xBEEF});
+  const std::vector<int> survivors{0, 1, 3, 4};
+  const std::vector<int> dropped{2};
+  const std::vector<std::span<const float>> views(updates.begin(),
+                                                  updates.end());
+  std::vector<std::uint64_t> acc_s, acc_p;
   std::vector<float> serial(n), parallel(n);
-  SecureAggregator::sum_into(views, serial, ser);
-  SecureAggregator::sum_into(views, parallel, par);
+  sec.masked_mean(survivors, views, dropped, acc_s, serial, ser);
+  sec.masked_mean(survivors, views, dropped, acc_p, parallel, par);
   EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(), n * sizeof(float)));
 }
 

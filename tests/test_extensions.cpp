@@ -6,7 +6,6 @@
 #include <cmath>
 #include <set>
 
-#include "comm/quantization.hpp"
 #include "core/selection.hpp"
 #include "util/rng.hpp"
 
@@ -78,140 +77,6 @@ TEST(SelectionStrategies, KLargerThanPoolReturnsEveryone) {
     const auto s = sel->select({4, 2, 9}, {}, 10, 0);
     EXPECT_EQ(s, (std::vector<int>{2, 4, 9})) << name;
   }
-}
-
-// ----------------------------------------------------------- quantizer --
-TEST(Int8Quantizer, ErrorBoundedByScale) {
-  Rng rng(5);
-  std::vector<float> update(5000);
-  for (auto& x : update) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(256);
-  const QuantizedUpdate q = quant.quantize(update);
-  const auto back = quant.dequantize(q);
-  ASSERT_EQ(back.size(), update.size());
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
-    EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
-  }
-}
-
-TEST(Int8Quantizer, WireBytesRoughlyQuartered) {
-  std::vector<float> update(4096, 0.5f);
-  Int8Quantizer quant(1024);
-  const QuantizedUpdate q = quant.quantize(update);
-  EXPECT_LT(q.wire_bytes(), update.size() * sizeof(float) / 3.5);
-}
-
-TEST(Int8Quantizer, StochasticRoundingIsUnbiased) {
-  // Quantize the same constant many times; the mean reconstruction must
-  // approach the true value even though single samples round up/down.
-  std::vector<float> update(1, 0.003f);
-  // Scale is set by the chunk max = 0.003 -> code is +/-127 exactly; use a
-  // second element to force a non-trivial grid.
-  update.push_back(1.0f);
-  Int8Quantizer quant(2, /*stochastic=*/true, 9);
-  double sum = 0.0;
-  constexpr int kTrials = 3000;
-  for (int i = 0; i < kTrials; ++i) {
-    sum += quant.dequantize(quant.quantize(update))[0];
-  }
-  EXPECT_NEAR(sum / kTrials, 0.003, 5e-4);
-}
-
-TEST(Int8Quantizer, ZeroAndHugeValuesSurvive) {
-  std::vector<float> update{0.0f, 0.0f, 1e6f, -1e6f};
-  Int8Quantizer quant(4);
-  const auto back = quant.dequantize(quant.quantize(update));
-  EXPECT_FLOAT_EQ(back[0], 0.0f);
-  EXPECT_NEAR(back[2], 1e6f, 1e6f / 127.0f);
-  EXPECT_NEAR(back[3], -1e6f, 1e6f / 127.0f);
-}
-
-TEST(Int8Quantizer, PartialFinalChunkRoundTripsWithinBound) {
-  // 1000 elements over chunk_size 256 leaves a 232-element final chunk;
-  // its scale and codes must cover exactly the remainder.
-  Rng rng(21);
-  std::vector<float> update(1000);
-  for (auto& x : update) x = rng.gaussian(0.0f, 0.5f);
-  Int8Quantizer quant(256);
-  const QuantizedUpdate q = quant.quantize(update);
-  EXPECT_EQ(q.count, update.size());
-  EXPECT_EQ(q.scales.size(), 4u);  // ceil(1000/256)
-  EXPECT_EQ(q.codes.size(), update.size());
-  const auto back = quant.dequantize(q);
-  ASSERT_EQ(back.size(), update.size());
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
-    EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
-  }
-}
-
-TEST(Int8Quantizer, StochasticErrorStaysWithinOneGridStep) {
-  // Stochastic rounding moves to one of the two adjacent grid points, so
-  // the per-element bound is the same scale/127 as deterministic rounding.
-  Rng rng(22);
-  std::vector<float> update(2048);
-  for (auto& x : update) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(512, /*stochastic=*/true, 77);
-  const QuantizedUpdate q = quant.quantize(update);
-  const auto back = quant.dequantize(q);
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
-    EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
-  }
-}
-
-TEST(Int8Quantizer, DeterministicModeIsReproducibleAcrossInstances) {
-  Rng rng(23);
-  std::vector<float> update(700);
-  for (auto& x : update) x = rng.gaussian(0.0f, 1.0f);
-  Int8Quantizer a(128), b(128);
-  const QuantizedUpdate qa = a.quantize(update);
-  const QuantizedUpdate qb = b.quantize(update);
-  EXPECT_EQ(qa.scales, qb.scales);
-  EXPECT_EQ(qa.codes, qb.codes);
-  // Same-seed stochastic quantizers also agree (the rng is the only state).
-  Int8Quantizer s1(128, true, 5), s2(128, true, 5);
-  EXPECT_EQ(s1.quantize(update).codes, s2.quantize(update).codes);
-}
-
-TEST(Int8Quantizer, ValidatesInput) {
-  EXPECT_THROW(Int8Quantizer(0), std::invalid_argument);
-  Int8Quantizer quant(8);
-  QuantizedUpdate corrupt;
-  corrupt.count = 10;
-  corrupt.chunk_size = 8;
-  corrupt.codes.resize(4);  // wrong size
-  EXPECT_THROW(quant.dequantize(corrupt), std::invalid_argument);
-}
-
-TEST(Int8Quantizer, AggregationErrorSmallerThanIndividual) {
-  // Mean of K quantized updates has ~sqrt(K) lower error than one — the
-  // property that makes lossy updates viable in federated averaging.
-  Rng rng(7);
-  std::vector<float> truth(2048);
-  for (auto& x : truth) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(256, /*stochastic=*/true, 11);
-  constexpr int kClients = 16;
-  std::vector<double> mean(truth.size(), 0.0);
-  double single_err = 0.0;
-  for (int c = 0; c < kClients; ++c) {
-    const auto back = quant.dequantize(quant.quantize(truth));
-    if (c == 0) {
-      for (std::size_t i = 0; i < truth.size(); ++i) {
-        single_err += std::abs(back[i] - truth[i]);
-      }
-    }
-    for (std::size_t i = 0; i < truth.size(); ++i) mean[i] += back[i];
-  }
-  double mean_err = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    mean_err += std::abs(mean[i] / kClients - truth[i]);
-  }
-  EXPECT_LT(mean_err, single_err * 0.6);
 }
 
 }  // namespace

@@ -146,17 +146,15 @@ TEST_P(SecureAggProperty, SumPreservedForAnyCohortSize) {
       plain[i] += u[i];
     }
   }
-  SecureAggregator sec(k, 0xABC + static_cast<std::uint64_t>(k));
-  std::vector<std::vector<std::uint64_t>> masked(
-      static_cast<std::size_t>(k), std::vector<std::uint64_t>(n));
-  for (int c = 0; c < k; ++c) {
-    sec.mask_update(c, updates[static_cast<std::size_t>(c)],
-                    masked[static_cast<std::size_t>(c)]);
-  }
-  std::vector<std::span<const std::uint64_t>> views(masked.begin(),
-                                                    masked.end());
+  std::vector<int> cohort(static_cast<std::size_t>(k));
+  for (int c = 0; c < k; ++c) cohort[static_cast<std::size_t>(c)] = c;
+  const SecAggSession sec(
+      cohort, SecAggConfig{32, 0.5, 0xABC + static_cast<std::uint64_t>(k)});
+  const std::vector<std::span<const float>> views(updates.begin(),
+                                                  updates.end());
+  std::vector<std::uint64_t> acc;
   std::vector<float> mean(n, 0.0f);
-  sec.unmask_mean(views, mean);
+  sec.masked_mean(cohort, views, {}, acc, mean, kernels::default_context());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(mean[i] * static_cast<float>(k), plain[i], 1e-5f * k);
   }

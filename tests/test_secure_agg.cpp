@@ -617,17 +617,26 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
   std::filesystem::remove_all(base);
 }
 
-TEST(SecAggFederation, SumIntoRejectsRaggedSpans) {
-  // Regression (satellite): sum_into must validate per-span lengths, not
-  // just the first one.
+TEST(SecAggSession, MaskedMeanRejectsRaggedUpdates) {
+  // Every survivor's update must match the output length, not just the
+  // first one; a size mismatch is a malformed round, never a partial sum.
+  const SecAggSession s({0, 1, 2}, SecAggConfig{32, 0.5, 5});
+  const kernels::KernelContext ctx;
   std::vector<float> a(8, 1.0f), b(7, 1.0f), out(8, 0.0f);
+  std::vector<std::uint64_t> acc;
+  const std::vector<int> pair{0, 1};
   const std::vector<std::span<const float>> ragged{a, b};
-  EXPECT_THROW(SecureAggregator::sum_into(ragged, out), std::invalid_argument);
-  const std::vector<std::span<const float>> empty;
-  EXPECT_THROW(SecureAggregator::sum_into(empty, out), std::invalid_argument);
+  EXPECT_THROW(s.masked_mean(pair, ragged, {}, acc, out, ctx),
+               std::runtime_error);
+  const std::vector<std::span<const float>> one{a};
+  EXPECT_THROW(s.masked_mean(pair, one, {}, acc, out, ctx),
+               std::invalid_argument);
+  // Member 2 dropped: its masks are recovered and the survivors' mean is
+  // exactly the plain mean of two all-ones updates.
   const std::vector<std::span<const float>> ok{a, a};
-  SecureAggregator::sum_into(ok, out);
-  for (const float v : out) EXPECT_FLOAT_EQ(v, 2.0f);
+  const std::vector<int> dropped{2};
+  s.masked_mean(pair, ok, dropped, acc, out, ctx);
+  for (const float v : out) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(SecAggFederation, SyncSecureRoundIsBitIdenticalSerialVsParallel) {

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "comm/cost_model.hpp"
-#include "comm/quantization.hpp"
 #include "core/runner.hpp"
 #include "data/corpus.hpp"
 #include "data/stream.hpp"
@@ -148,34 +147,6 @@ TEST(WallTime, Table2ReconstructionFed7B) {
   const double rounds = fed_steps / 500.0;
   const double comm_h = model.comm_time_rar(4, s_mb) * rounds / 3600.0;
   EXPECT_NEAR(comm_h, 0.1, 0.03);
-}
-
-TEST(QuantizedAggregation, FederatedMeanSurvivesInt8) {
-  // Quantize per-client updates, aggregate, compare with the exact mean:
-  // the end-to-end error stays tiny relative to the update magnitude.
-  Rng rng(11);
-  constexpr int kClients = 8;
-  constexpr std::size_t kN = 4096;
-  std::vector<std::vector<float>> updates(kClients, std::vector<float>(kN));
-  std::vector<double> exact(kN, 0.0);
-  for (auto& u : updates) {
-    for (std::size_t i = 0; i < kN; ++i) {
-      u[i] = rng.gaussian(0.0f, 0.02f);
-      exact[i] += u[i] / kClients;
-    }
-  }
-  Int8Quantizer quant(512, /*stochastic=*/true, 17);
-  std::vector<double> approx(kN, 0.0);
-  for (const auto& u : updates) {
-    const auto deq = quant.dequantize(quant.quantize(u));
-    for (std::size_t i = 0; i < kN; ++i) approx[i] += deq[i] / kClients;
-  }
-  double err = 0.0, mag = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) {
-    err += std::abs(approx[i] - exact[i]);
-    mag += std::abs(exact[i]);
-  }
-  EXPECT_LT(err / mag, 0.05);  // < 5% relative L1 error on the mean
 }
 
 TEST(Corpus, SeparateStyleStreamsYieldDifferentPerplexityUnderOneModel) {

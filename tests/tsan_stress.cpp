@@ -243,12 +243,23 @@ bool collectives_race_free(ThreadPool& pool) {
         }
       }
     }
+    // Masked mean with one dropout: masking, recovery and decode shard
+    // over the pool and must match the serial context bit for bit.
+    std::vector<int> cohort(static_cast<std::size_t>(workers) + 1);
+    for (std::size_t c = 0; c < cohort.size(); ++c) {
+      cohort[c] = static_cast<int>(c);
+    }
+    const photon::SecAggSession sec(cohort,
+                                    photon::SecAggConfig{32, 0.5, 0x5EC});
+    std::vector<int> survivors(cohort.begin(), cohort.end() - 1);
+    const std::vector<int> dropped{workers};
     std::vector<std::span<const float>> views(base.begin(), base.end());
-    std::vector<float> sum_s(n), sum_p(n);
-    photon::SecureAggregator::sum_into(views, sum_s, ser);
-    photon::SecureAggregator::sum_into(views, sum_p, par);
-    if (std::memcmp(sum_s.data(), sum_p.data(), n * sizeof(float)) != 0) {
-      std::fprintf(stderr, "FAIL sum_into\n");
+    std::vector<std::uint64_t> acc_s, acc_p;
+    std::vector<float> mean_s(n), mean_p(n);
+    sec.masked_mean(survivors, views, dropped, acc_s, mean_s, ser);
+    sec.masked_mean(survivors, views, dropped, acc_p, mean_p, par);
+    if (std::memcmp(mean_s.data(), mean_p.data(), n * sizeof(float)) != 0) {
+      std::fprintf(stderr, "FAIL masked_mean\n");
       return false;
     }
   }
