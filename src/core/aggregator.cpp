@@ -513,9 +513,11 @@ void Aggregator::save_checkpoint(const RoundRecord& record, double t,
     return;
   }
   const obs::RealTimer timer(tracing);
+  // Small fields go in `ckpt`; the bulk buffers (global model, one EF
+  // residual per client) are borrowed, so a disk store streams them to the
+  // file without a snapshot copy.
   Checkpoint ckpt;
   ckpt.round = round_;
-  ckpt.params = global_params_;
   ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
   ckpt.client_trained_rounds = client_rounds_;
   BinaryWriter w;
@@ -524,10 +526,9 @@ void Aggregator::save_checkpoint(const RoundRecord& record, double t,
   // Error-feedback residuals are part of the deterministic client state:
   // recovery must hand each client the exact residual it carried, or the
   // post-restore timeline diverges from an uninterrupted run.
-  ckpt.client_ef_residuals.reserve(clients_.size());
-  for (const auto& c : clients_) {
-    ckpt.client_ef_residuals.push_back(c->ef_residual());
-  }
+  std::vector<std::span<const float>> residuals;
+  residuals.reserve(clients_.size());
+  for (const auto& c : clients_) residuals.emplace_back(c->ef_residual());
   if (config_.async.enabled) {
     // The drain boundary is the async save point: the fold is empty here,
     // so the buffer's durable form is the pending in-flight updates plus
@@ -544,7 +545,7 @@ void Aggregator::save_checkpoint(const RoundRecord& record, double t,
     state_ext_->on_checkpoint(record);
     ckpt.tuner_state = state_ext_->capture_state();
   }
-  checkpoints_.save(std::move(ckpt));
+  checkpoints_.save(std::move(ckpt), global_params_, residuals);
   checkpoints_.journal_commit(round_);
   if (tracing) {
     config_.tracer->record({obs::SpanKind::kCheckpoint, round_,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/serialization.hpp"
 
@@ -14,6 +16,11 @@ namespace {
 constexpr std::uint32_t kCkptMagic = 0x324B4350;
 
 constexpr const char* kJournalFile = "round.journal";
+
+std::filesystem::path ckpt_path(const std::filesystem::path& dir,
+                                std::uint32_t round) {
+  return dir / ("ckpt_" + std::to_string(round) + ".bin");
+}
 
 void write_metric_dict(BinaryWriter& w,
                        const std::map<std::string, double>& metrics) {
@@ -103,15 +110,38 @@ CheckpointStore::CheckpointStore(std::filesystem::path dir,
 
 void CheckpointStore::save(std::uint32_t round, std::span<const float> params,
                            double eval_perplexity) {
-  Checkpoint ckpt;
-  ckpt.round = round;
-  ckpt.params.assign(params.begin(), params.end());
-  ckpt.eval_perplexity = eval_perplexity;
-  save(std::move(ckpt));
+  Checkpoint meta;
+  meta.round = round;
+  meta.eval_perplexity = eval_perplexity;
+  save(std::move(meta), params, {});
 }
 
 void CheckpointStore::save(Checkpoint ckpt) {
-  if (!dir_.empty()) write_to_disk(ckpt);
+  if (dir_.empty()) {
+    remember(std::move(ckpt));
+    return;
+  }
+  const std::vector<std::span<const float>> residuals(
+      ckpt.client_ef_residuals.begin(), ckpt.client_ef_residuals.end());
+  write_to_disk(ckpt, ckpt.params, residuals);
+}
+
+void CheckpointStore::save(
+    Checkpoint meta, std::span<const float> params,
+    std::span<const std::span<const float>> ef_residuals) {
+  if (!dir_.empty()) {
+    write_to_disk(meta, params, ef_residuals);
+    return;
+  }
+  meta.params.assign(params.begin(), params.end());
+  meta.client_ef_residuals.clear();
+  for (const auto residual : ef_residuals) {
+    meta.client_ef_residuals.emplace_back(residual.begin(), residual.end());
+  }
+  remember(std::move(meta));
+}
+
+void CheckpointStore::remember(Checkpoint ckpt) {
   memory_.push_back(std::move(ckpt));
   if (memory_.size() > keep_last_) {
     memory_.erase(memory_.begin(),
@@ -122,6 +152,7 @@ void CheckpointStore::save(Checkpoint ckpt) {
 
 std::optional<Checkpoint> CheckpointStore::latest() const {
   if (!memory_.empty()) return memory_.back();
+  if (last_saved_.has_value()) return read_from_disk(*last_saved_);
   // Fresh process after a crash: scan the directory for the newest round.
   if (dir_.empty() || !std::filesystem::exists(dir_)) return std::nullopt;
   std::int64_t best = -1;
@@ -141,10 +172,10 @@ std::optional<Checkpoint> CheckpointStore::latest() const {
 }
 
 std::optional<Checkpoint> CheckpointStore::at_round(std::uint32_t round) const {
+  if (!dir_.empty()) return read_from_disk(round);
   for (auto it = memory_.rbegin(); it != memory_.rend(); ++it) {
     if (it->round == round) return *it;
   }
-  if (!dir_.empty()) return read_from_disk(round);
   return std::nullopt;
 }
 
@@ -197,21 +228,38 @@ void CheckpointStore::replay_journal() {
   }
 }
 
-void CheckpointStore::write_to_disk(const Checkpoint& ckpt) const {
+void CheckpointStore::write_to_disk(
+    const Checkpoint& ckpt, std::span<const float> params,
+    std::span<const std::span<const float>> ef_residuals) {
+  const auto path = ckpt_path(dir_, ckpt.round);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (!os) throw std::runtime_error("CheckpointStore: cannot write " + path.string());
+  // The small fields are encoded into `w`, which is flushed to the file
+  // ahead of each bulk buffer; the bulk buffers go from their owners
+  // straight to the file, so a save never materialises its payload twice.
   BinaryWriter w;
+  const auto flush = [&] {
+    os.write(reinterpret_cast<const char*>(w.bytes().data()),
+             static_cast<std::streamsize>(w.size()));
+    w = BinaryWriter(w.take());
+  };
+  const auto write_floats = [&](std::span<const float> v) {
+    w.write(static_cast<std::uint64_t>(v.size()));
+    flush();
+    os.write(reinterpret_cast<const char*>(v.data()),
+             static_cast<std::streamsize>(v.size_bytes()));
+  };
   w.write(kCkptMagic);
   w.write(ckpt.round);
   w.write(ckpt.eval_perplexity);
   w.write(ckpt.schedule_step_base);
-  w.write_vector(ckpt.params);
+  write_floats(params);
   w.write_vector(ckpt.client_trained_rounds);
   w.write_vector(ckpt.server_opt_state);
   // Trailing v2 field (readers tolerate its absence): error-feedback
   // residuals, one vector per client.
-  w.write(static_cast<std::uint64_t>(ckpt.client_ef_residuals.size()));
-  for (const auto& residual : ckpt.client_ef_residuals) {
-    w.write_vector(residual);
-  }
+  w.write(static_cast<std::uint64_t>(ef_residuals.size()));
+  for (const auto residual : ef_residuals) write_floats(residual);
   // Second trailing field: elastic async engine state.  Sync-mode saves
   // write nothing here, keeping their byte layout identical to before —
   // unless a later trailing field follows, in which case the async flag
@@ -241,21 +289,37 @@ void CheckpointStore::write_to_disk(const Checkpoint& ckpt) const {
     w.write(ckpt.privacy_state.shares_reconstructed_total);
     w.write(ckpt.privacy_state.epsilon);
   }
-  const auto path = dir_ / ("ckpt_" + std::to_string(ckpt.round) + ".bin");
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("CheckpointStore: cannot write " + path.string());
-  os.write(reinterpret_cast<const char*>(w.bytes().data()),
-           static_cast<std::streamsize>(w.size()));
+  flush();
+  // A short write (full disk, I/O error) sets the stream state without
+  // throwing, and the buffered tail only reaches the file at close(), whose
+  // failure adds to that state.  The trailing fields are optional on read,
+  // so a torn file would restore silently: fail here, before the caller can
+  // journal the round as committed, and leave no torn file behind.
+  os.close();
+  if (!os) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    throw std::runtime_error("CheckpointStore: short write to " + path.string());
+  }
+  last_saved_ = ckpt.round;
 }
 
 std::optional<Checkpoint> CheckpointStore::read_from_disk(
     std::uint32_t round) const {
-  const auto path = dir_ / ("ckpt_" + std::to_string(round) + ".bin");
+  const auto path = ckpt_path(dir_, round);
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  BinaryReader r(bytes);
+  // One sized read; BinaryReader's bounds checks still catch a truncated
+  // file (or a non-regular one, which reads as empty).
+  std::error_code ec;
+  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
+  const std::size_t size = ec ? 0 : static_cast<std::size_t>(file_size);
+  const auto bytes = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  if (!is.read(reinterpret_cast<char*>(bytes.get()),
+               static_cast<std::streamsize>(size))) {
+    throw std::runtime_error("CheckpointStore: cannot read " + path.string());
+  }
+  BinaryReader r(std::span<const std::uint8_t>(bytes.get(), size));
   Checkpoint ckpt;
   const auto first = r.read<std::uint32_t>();
   if (first == kCkptMagic) {

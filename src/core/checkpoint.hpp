@@ -1,9 +1,9 @@
 #pragma once
 // Checkpointing (paper Alg. 1 L11 server-side, L27 client-side): global
-// model snapshots each round for fast recovery, with optional persistence
-// to disk, recovery metadata, and a write-ahead round journal that makes
-// aggregator crash-recovery exact (ServerOpt applied exactly once per
-// completed round; LR schedule state restored bit-identically).
+// model snapshots each round for fast recovery, either as a memory ring or
+// streamed to disk, with recovery metadata and a write-ahead round journal
+// that makes aggregator crash-recovery exact (ServerOpt applied exactly
+// once per completed round; LR schedule state restored bit-identically).
 
 #include <cstdint>
 #include <filesystem>
@@ -114,9 +114,11 @@ struct Checkpoint {
 
 class CheckpointStore {
  public:
-  /// `dir` empty = memory-only store (tests, sweeps); otherwise snapshots
-  /// are also written as <dir>/ckpt_<round>.bin and the round journal as
-  /// <dir>/round.journal (replayed on construction for crash recovery).
+  /// `dir` empty = memory-only store (tests, sweeps) holding a ring of the
+  /// last `keep_last` snapshots.  Otherwise each snapshot is streamed to
+  /// <dir>/ckpt_<round>.bin, the file is the only copy (`keep_last` does
+  /// not apply), and the round journal lives in <dir>/round.journal
+  /// (replayed on construction for crash recovery).
   explicit CheckpointStore(std::filesystem::path dir = {},
                            std::size_t keep_last = 3);
 
@@ -124,12 +126,22 @@ class CheckpointStore {
             double eval_perplexity = -1.0);
   /// Full save including recovery metadata.
   void save(Checkpoint ckpt);
+  /// Full save with the bulk buffers borrowed for the call: `meta` carries
+  /// every small field (its `params` and `client_ef_residuals` are
+  /// ignored), `params` and one span per client residual are read in
+  /// place.  A disk store writes them straight into the file; a memory-only
+  /// store copies them into its ring, since that copy is its snapshot.
+  /// Throws, before anything is recorded as saved, if the file could not be
+  /// written in full.
+  void save(Checkpoint meta, std::span<const float> params,
+            std::span<const std::span<const float>> ef_residuals);
 
-  /// Most recent checkpoint: the newest in memory, else (fresh process) the
-  /// highest-round ckpt_*.bin on disk.
+  /// Most recent checkpoint: the newest in memory (memory-only store), the
+  /// last one this store wrote, else (fresh process) the highest-round
+  /// ckpt_*.bin on disk.
   std::optional<Checkpoint> latest() const;
 
-  /// Checkpoint for an exact round (memory first, then disk).
+  /// Checkpoint for an exact round (the ring, or the file on disk).
   std::optional<Checkpoint> at_round(std::uint32_t round) const;
 
   std::size_t num_in_memory() const { return memory_.size(); }
@@ -137,7 +149,9 @@ class CheckpointStore {
 
   // --- write-ahead round journal ---------------------------------------
   // Protocol per round r: `begin r` is appended (and flushed) BEFORE the
-  // ServerOpt apply; `commit r` AFTER the round's checkpoint is durable.
+  // ServerOpt apply; `commit r` AFTER the round's checkpoint is durable
+  // (written in full and closed into the page cache: it survives a process
+  // crash, not a power loss, as nothing is fsync'd).
   // On recovery the last committed round is the restore point: a round
   // with a dangling `begin` may have mutated the in-memory model but never
   // produced a durable checkpoint, so re-running it from the last commit
@@ -160,12 +174,17 @@ class CheckpointStore {
  private:
   void journal_append(char tag, std::uint32_t round);
   void replay_journal();
-  void write_to_disk(const Checkpoint& ckpt) const;
+  void remember(Checkpoint ckpt);
+  void write_to_disk(const Checkpoint& ckpt, std::span<const float> params,
+                     std::span<const std::span<const float>> ef_residuals);
   std::optional<Checkpoint> read_from_disk(std::uint32_t round) const;
 
   std::filesystem::path dir_;
-  std::size_t keep_last_;
-  std::vector<Checkpoint> memory_;  // ring of the last keep_last_ snapshots
+  std::size_t keep_last_;  // ring size; memory-only stores only
+  /// Ring of the last keep_last_ snapshots; memory-only stores only (a
+  /// disk store's snapshot is its committed file).
+  std::vector<Checkpoint> memory_;
+  std::optional<std::uint32_t> last_saved_;  // disk store: last file written
   std::vector<std::string> journal_;
   std::int64_t last_begun_ = -1;
   std::int64_t last_committed_ = -1;

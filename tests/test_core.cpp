@@ -13,6 +13,7 @@
 #include "core/sampler.hpp"
 #include "core/server_opt.hpp"
 #include "util/rng.hpp"
+#include "util/serialization.hpp"
 
 namespace photon {
 namespace {
@@ -305,6 +306,178 @@ TEST(CheckpointStore, LegacyDiskFormatStillReadable) {
   EXPECT_TRUE(ckpt->client_trained_rounds.empty());
   EXPECT_TRUE(ckpt->server_opt_state.empty());
   std::filesystem::remove_all(dir);
+}
+
+std::vector<float> ramp(std::size_t n, float scale) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(static_cast<int>(i % 97) - 48) * scale;
+  }
+  return v;
+}
+
+// A save carrying every trailing field: EF residuals (one client without
+// any), async state with an in-flight wire image and a failed slot, tuner
+// state and privacy state.
+Checkpoint full_checkpoint() {
+  Checkpoint c;
+  c.round = 9;
+  c.params = ramp(4099, 0.125f);
+  c.eval_perplexity = 21.5;
+  c.schedule_step_base = 90;
+  c.client_trained_rounds = {9, 7, 0};
+  for (int i = 0; i < 64; ++i) {
+    c.server_opt_state.push_back(static_cast<std::uint8_t>(3 * i + 1));
+  }
+  c.client_ef_residuals = {ramp(4099, -0.001f), {}, ramp(4099, 0.002f)};
+  AsyncAggregatorState& a = c.async_state;
+  a.valid = true;
+  a.sim_now = 123.25;
+  a.accepted_total = 17;
+  a.discarded_total = 2;
+  a.membership = {1, 1, 0};
+  a.defer_counts = {0, 3, 1};
+  a.next_eligible = {0.0, 130.5, 0.0};
+  AsyncInFlightSnapshot live;
+  live.client = 0;
+  live.arrive_time = 125.0;
+  live.dispatch_version = 8;
+  live.wave_id = 4;
+  live.tokens = 512;
+  live.mean_train_loss = 3.25;
+  live.train_sim_seconds = 1.5;
+  live.metrics = {{"loss", 3.25}, {"tokens", 512.0}};
+  live.codec = "q8";
+  live.elems = 4099;
+  live.chunk_raw_bytes = 8192;
+  live.chunk_lens = {3, 2};
+  live.chunk_bytes = {1, 2, 3, 4, 5};
+  AsyncInFlightSnapshot failed;
+  failed.client = 1;
+  failed.arrive_time = 126.0;
+  failed.dispatch_version = 8;
+  failed.failure_kind = 1;
+  a.in_flight = {live, failed};
+  c.tuner_state = {7, 7, 1, 2};
+  PrivacyCheckpointState& p = c.privacy_state;
+  p.valid = true;
+  p.accounted_rounds = 9;
+  p.noise_multiplier = 1.1;
+  p.delta = 1e-5;
+  p.wave_counter = 4;
+  p.shares_reconstructed_total = 2;
+  p.epsilon = 3.75;
+  return c;
+}
+
+// A plain sync save: params and recovery metadata, lossless wire (no EF
+// residuals), no trailing fields.
+Checkpoint plain_sync_checkpoint() {
+  Checkpoint c;
+  c.round = 3;
+  c.params = ramp(1031, 0.5f);
+  c.schedule_step_base = 6;
+  c.client_trained_rounds = {3, 3};
+  return c;
+}
+
+std::uint32_t file_crc(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
+                                        std::istreambuf_iterator<char>());
+  return crc32(bytes);
+}
+
+TEST(CheckpointStore, StreamedSaveMatchesRecordedLayout) {
+  // The v2 byte layout is a compatibility contract: checkpoints written by
+  // earlier builds must restore, and these CRCs were recorded from the
+  // buffered writer the streaming one replaced.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "photon_ckpt_layout_test";
+  std::filesystem::remove_all(dir);
+  {
+    CheckpointStore store(dir);
+    store.save(full_checkpoint());
+    store.save(plain_sync_checkpoint());
+  }
+  EXPECT_EQ(file_crc(dir / "ckpt_9.bin"), 0x89545111u);
+  EXPECT_EQ(file_crc(dir / "ckpt_3.bin"), 0x0801ad4eu);
+  std::filesystem::remove_all(dir);
+}
+
+void expect_same_checkpoint(const Checkpoint& got, const Checkpoint& want) {
+  EXPECT_EQ(got.round, want.round);
+  EXPECT_EQ(got.params, want.params);
+  EXPECT_EQ(got.eval_perplexity, want.eval_perplexity);
+  EXPECT_EQ(got.schedule_step_base, want.schedule_step_base);
+  EXPECT_EQ(got.client_trained_rounds, want.client_trained_rounds);
+  EXPECT_EQ(got.server_opt_state, want.server_opt_state);
+  EXPECT_EQ(got.client_ef_residuals, want.client_ef_residuals);
+  EXPECT_EQ(got.async_state.valid, want.async_state.valid);
+  EXPECT_EQ(got.async_state.in_flight.size(), want.async_state.in_flight.size());
+  EXPECT_EQ(got.tuner_state, want.tuner_state);
+  EXPECT_EQ(got.privacy_state.valid, want.privacy_state.valid);
+  EXPECT_EQ(got.privacy_state.wave_counter, want.privacy_state.wave_counter);
+}
+
+TEST(CheckpointStore, DiskStoreKeepsNoMemorySnapshots) {
+  // The committed file is the snapshot of a disk store: however large
+  // keep_last is, nothing is held in memory, and reads come from disk.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "photon_ckpt_no_ring_test";
+  std::filesystem::remove_all(dir);
+  CheckpointStore store(dir, /*keep_last=*/3);
+  std::vector<Checkpoint> saved;
+  for (std::uint32_t r = 0; r < 5; ++r) {
+    Checkpoint c = r % 2 == 0 ? full_checkpoint() : plain_sync_checkpoint();
+    c.round = r;
+    c.params[r] = static_cast<float>(r);
+    store.save(c);
+    saved.push_back(std::move(c));
+  }
+  // The borrowed-buffer save writes the same file as save(Checkpoint).
+  const Checkpoint last = full_checkpoint();
+  const std::vector<std::span<const float>> residuals(
+      last.client_ef_residuals.begin(), last.client_ef_residuals.end());
+  Checkpoint meta = last;
+  meta.round = 5;
+  meta.params.clear();
+  meta.client_ef_residuals.clear();
+  store.save(meta, last.params, residuals);
+  saved.push_back(last);
+  saved.back().round = 5;
+
+  EXPECT_EQ(store.num_in_memory(), 0u);
+  const auto latest = store.latest();
+  ASSERT_TRUE(latest.has_value());
+  expect_same_checkpoint(*latest, saved.back());
+  for (const Checkpoint& want : saved) {
+    const auto got = store.at_round(want.round);
+    ASSERT_TRUE(got.has_value());
+    expect_same_checkpoint(*got, want);
+  }
+  EXPECT_FALSE(store.at_round(6).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, MemoryStoreCopiesBorrowedBuffers) {
+  // A memory-only store's ring entry is its snapshot, so it must own a
+  // copy: later writes to the borrowed buffers do not reach it.
+  CheckpointStore store;
+  std::vector<float> params{1.0f, 2.0f};
+  std::vector<float> residual{0.5f};
+  const std::vector<std::span<const float>> residuals{residual};
+  Checkpoint meta;
+  meta.round = 4;
+  store.save(meta, params, residuals);
+  params[0] = 9.0f;
+  residual[0] = 9.0f;
+  const auto got = store.at_round(4);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->params, (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_EQ(got->client_ef_residuals,
+            (std::vector<std::vector<float>>{{0.5f}}));
+  EXPECT_EQ(store.num_in_memory(), 1u);
 }
 
 TEST(CheckpointStore, JournalTracksBeginAndCommitAcrossProcesses) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -647,6 +648,34 @@ TEST(FaultEngine, JournalRecordsTheRoundLifecycle) {
   EXPECT_EQ(agg->checkpoints().journal_last_committed(), 1);
   EXPECT_TRUE(agg->restore_latest_checkpoint());
   EXPECT_EQ(agg->checkpoints().journal().back(), "R 2");
+}
+
+TEST(FaultEngine, SaveThatMissesTheFileIsNeverCommitted) {
+  // A full disk: the stream reports failure without throwing, so the save
+  // must check it.  The round is then never journalled as committed and a
+  // fresh process recovers from the previous round.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "photon_full_disk_test";
+  std::filesystem::remove_all(dir);
+  AggregatorConfig ac;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = dir;
+  {
+    auto agg = build_fault_aggregator(ac);
+    agg->run_round();
+    agg->run_round();
+    std::filesystem::create_symlink("/dev/full", dir / "ckpt_2.bin");
+    EXPECT_THROW(agg->run_round(), std::runtime_error);
+    const auto& journal = agg->checkpoints().journal();
+    EXPECT_EQ(std::count(journal.begin(), journal.end(), "C 2"), 0);
+    EXPECT_EQ(agg->checkpoints().journal_last_committed(), 1);
+  }
+  auto fresh = build_fault_aggregator(ac);
+  EXPECT_EQ(fresh->checkpoints().journal_last_committed(), 1);
+  ASSERT_TRUE(fresh->restore_latest_checkpoint());
+  EXPECT_EQ(fresh->round(), 2u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,6 +10,11 @@
 #                           # diff the deterministic cases against the
 #                           # committed BENCH_all.json baseline (>5% fails;
 #                           # add --update-baseline to refresh it instead)
+#   tools/ci.sh --fedbench  # additionally run the wall-clock benchmark's
+#                           # self-test (python3 fedbench/selftest.py):
+#                           # every workload's checks, the wan disk-store
+#                           # restore_bit_exact and the cross-process
+#                           # fingerprint
 #
 # The obs gate (DESIGN.md §9) builds a PHOTON_TRACE=OFF comparison tree and
 # fails the pipeline if the default build's trace-DISABLED round time is
@@ -30,6 +35,7 @@ SOAK_ROUNDS=0
 COVERAGE=0
 PERF_GATE=0
 UPDATE_BASELINE=0
+FEDBENCH=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -38,6 +44,7 @@ while [[ $# -gt 0 ]]; do
     --coverage) COVERAGE=1; shift ;;
     --perf-gate) PERF_GATE=1; shift ;;
     --update-baseline) UPDATE_BASELINE=1; shift ;;
+    --fedbench) FEDBENCH=1; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -173,6 +180,14 @@ if [[ "$PERF_GATE" -eq 1 ]]; then
   echo "==> [perf-gate] diff vs committed baseline"
   python3 "$ROOT/tools/perf_gate.py" "$ROOT/BENCH_all.json" \
       "$ROOT/build/BENCH_all.quick.json"
+fi
+
+if [[ "$FEDBENCH" -eq 1 ]]; then
+  # End-to-end guard of the on-disk checkpoint path: the self-test builds
+  # fedbench (into .bench_build) and, among its checks, restores the wan
+  # workload's last on-disk save in a fresh federation bit-exactly.
+  echo "==> [fedbench] python3 fedbench/selftest.py"
+  (cd "$ROOT" && python3 fedbench/selftest.py)
 fi
 
 echo "==> ci.sh: all green"
