@@ -505,7 +505,8 @@ void BM_TrainStep(benchmark::State& state) {
     const float loss = model.train_step_fb(b.tokens, b.targets, 4, cfg.seq_len);
     benchmark::DoNotOptimize(loss);
     clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 1e-3f);
+    opt.step(kernels::default_context(), model.params(), model.grads(),
+             1e-3f);
   }
   state.SetItemsProcessed(state.iterations() * 4 * cfg.seq_len);
   state.counters["params"] = static_cast<double>(cfg.num_params());
@@ -518,7 +519,8 @@ void BM_Matmul(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 2.0f);
   std::vector<float> out(static_cast<std::size_t>(n) * n);
   for (auto _ : state) {
-    kernels::matmul(out.data(), a.data(), b.data(), n, n, n);
+    kernels::matmul(kernels::default_context(), out.data(), a.data(), b.data(),
+                    n, n, n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);
@@ -549,30 +551,29 @@ BENCHMARK(BM_Collective)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Codec(benchmark::State& state) {
-  // lzss rides along here for diagnostics only — it is demoted from every
-  // default wire path (see enabled_wire_codecs()).
-  const char* names[] = {"rle0", "lzss"};
-  const Codec* codec = codec_by_name(names[state.range(0)]);
+  const Codec* codec = codec_by_name("rle0");
   Rng rng(5);
   std::vector<std::uint8_t> input(1 << 16);
   for (auto& b : input) {
     b = rng.next_bool(0.5) ? 0 : static_cast<std::uint8_t>(rng.next_below(256));
   }
+  std::vector<std::uint8_t> compressed;
   for (auto _ : state) {
-    const auto compressed = codec->compress(input);
+    codec->compress_into(input, compressed);
     benchmark::DoNotOptimize(compressed.data());
   }
   state.SetBytesProcessed(state.iterations() * (1 << 16));
 }
-BENCHMARK(BM_Codec)->Arg(0)->Arg(1);
+BENCHMARK(BM_Codec);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   Message m;
   m.payload.assign(1 << 15, 0.25f);
   m.metadata["loss"] = 1.0;
+  WireScratch scratch;
+  Message back;
   for (auto _ : state) {
-    const auto wire = m.encode();
-    const Message back = Message::decode(wire);
+    Message::decode_into(m.encode_into(scratch), back);
     benchmark::DoNotOptimize(back.payload.data());
   }
   state.SetBytesProcessed(state.iterations() * (1 << 17));

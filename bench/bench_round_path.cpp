@@ -99,7 +99,8 @@ std::vector<std::uint8_t> ref_encode(const Message& m) {
   const Codec* codec_ptr = codec_by_name(m.codec);
   BinaryWriter payload_writer;
   payload_writer.write_vector(m.payload);
-  const auto compressed = codec_ptr->compress(payload_writer.bytes());
+  std::vector<std::uint8_t> compressed;
+  codec_ptr->compress_into(payload_writer.bytes(), compressed);
   BinaryWriter w;
   w.write(static_cast<std::uint32_t>(0x50484F54));
   w.write(static_cast<std::uint8_t>(m.type));
@@ -117,7 +118,9 @@ std::vector<std::uint8_t> ref_encode(const Message& m) {
   return w.take();
 }
 
-Message ref_decode(std::span<const std::uint8_t> wire) {
+// The pre-PR format does not record the raw size; the bench passes the
+// float count it encoded.
+Message ref_decode(std::span<const std::uint8_t> wire, std::size_t n_floats) {
   BinaryReader r(wire);
   r.read<std::uint32_t>();
   Message m;
@@ -134,7 +137,9 @@ Message ref_decode(std::span<const std::uint8_t> wire) {
   const auto compressed = r.read_raw(payload_len);
   crc32(compressed);
   const Codec* codec_ptr = codec_by_name(m.codec);
-  const auto raw = codec_ptr->decompress(compressed);
+  std::vector<std::uint8_t> raw(sizeof(std::uint64_t) +
+                                n_floats * sizeof(float));
+  codec_ptr->decompress_into(compressed, raw);
   BinaryReader pr(raw);
   m.payload = pr.read_vector<float>();
   return m;
@@ -214,7 +219,7 @@ void ref_round(const std::vector<float>& params, int k,
     broadcast.payload = params;  // per-client model copy
     const auto bwire = ref_encode(broadcast);
     *wire_bytes += bwire.size();
-    const Message received = ref_decode(bwire);
+    const Message received = ref_decode(bwire, params.size());
 
     Message up;
     up.type = MessageType::kClientUpdate;
@@ -222,7 +227,7 @@ void ref_round(const std::vector<float>& params, int k,
     up.payload = received.payload;  // client's delta, copied into the message
     const auto uwire = ref_encode(up);
     *wire_bytes += uwire.size();
-    const Message back = ref_decode(uwire);
+    const Message back = ref_decode(uwire, params.size());
     deltas[static_cast<std::size_t>(c)] = back.payload;  // copied out
   }
   if (topo == Topology::kRingAllReduce) {
@@ -976,9 +981,8 @@ int main(int argc, char** argv) {
     // PR claims.
     cases.push_back({"headline_10M_K8_q8_rar", 10'000'000, 8, "q8",
                      Topology::kRingAllReduce});
-    // Sweep every codec enabled for default wire paths (lzss is demoted to
-    // diagnostic-only: its dense-zero worst case cannot hold the encode
-    // floor asserted below).  Identity is already the headline case.
+    // Sweep every codec enabled for default wire paths, each held to the
+    // encode floor asserted below.  Identity is already the headline case.
     for (const std::string& codec : enabled_wire_codecs()) {
       if (codec.empty()) continue;
       cases.push_back({"codec_1M_K4_" + codec + "_rar", 1'000'000, 4, codec,
@@ -1008,7 +1012,8 @@ int main(int argc, char** argv) {
   }
 
   // Regression floors: every codec on the default wire path must encode at
-  // >= 0.3 GB/s on the half-zero payload (the case that demoted lzss);
+  // >= 0.3 GB/s on the half-zero payload (dense zero runs are the
+  // lossless worst case);
   // quantized codecs are SIMD kernels and must hold >= 1.0 GB/s.
   constexpr double kMinEncodeGbps = 0.3;
   constexpr double kMinQuantEncodeGbps = 1.0;

@@ -90,7 +90,7 @@ FedVsCentResult run_fed_vs_cent(const FedVsCentConfig& config) {
       model.zero_grad();
       model.train_step_fb(b.tokens, b.targets, batch, seq);
       clip_grad_norm(model.grads(), 1.0);
-      opt.step(model.params(), model.grads(),
+      opt.step(kernels::default_context(), model.params(), model.grads(),
                sched.lr_at(s));
       tokens += static_cast<std::uint64_t>(batch) * seq;
       if ((s + 1) % eval_every_steps == 0 || s + 1 == total_steps) {

@@ -73,8 +73,8 @@ DdpResult DdpTrainer::run() {
     std::vector<std::span<float>> spans;
     spans.reserve(worker_grads.size());
     for (auto& g : worker_grads) spans.emplace_back(g);
-    const CollectiveReport report =
-        ring_all_reduce_mean(spans, config_.bandwidth_mbps);
+    const CollectiveReport report = collective_mean(
+        Topology::kRingAllReduce, spans, config_.bandwidth_mbps);
     result.total_comm_bytes += report.total_bytes;
     result.total_comm_seconds += report.seconds;
 

@@ -154,35 +154,12 @@ CollectiveReport collective_cost(Topology topology, int k,
   return r;
 }
 
-CollectiveReport ps_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                    double bandwidth_mbps,
-                                    const kernels::KernelContext& ctx) {
-  return collective_mean(Topology::kParameterServer, std::move(buffers),
-                         bandwidth_mbps, ctx);
-}
-
-CollectiveReport all_reduce_mean(std::vector<std::span<float>> buffers,
-                                 double bandwidth_mbps,
-                                 const kernels::KernelContext& ctx) {
-  return collective_mean(Topology::kAllReduce, std::move(buffers),
-                         bandwidth_mbps, ctx);
-}
-
-CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                      double bandwidth_mbps,
-                                      const kernels::KernelContext& ctx) {
-  return collective_mean(Topology::kRingAllReduce, std::move(buffers),
-                         bandwidth_mbps, ctx);
-}
-
 CollectiveReport collective_mean(Topology topology,
                                  std::vector<std::span<float>> buffers,
                                  double bandwidth_mbps,
                                  const kernels::KernelContext& ctx) {
   validate(buffers);
-  // PS: the server accumulates all K updates and broadcasts the mean back.
-  // AR: every worker receives every peer's buffer and reduces locally, so
-  // all compute the identical mean.  RAR runs the actual ring dataflow.
+  // PS and AR compute the identical mean; RAR runs the ring dataflow.
   if (topology == Topology::kRingAllReduce) {
     ring_reduce(buffers, ctx);
   } else {

@@ -50,28 +50,17 @@ CollectiveReport collective_cost(Topology topology, int k,
                                  std::uint64_t member_bytes,
                                  double bandwidth_mbps);
 
-/// In-place mean over `buffers` via a parameter server.  All buffers end
+/// In-place mean over `buffers` through `topology`; every buffer ends
 /// holding the mean.  Buffers must be equal length and non-empty.
-///
-/// All collectives shard element ranges over `ctx` with the same
-/// deterministic-sharding contract as the tensor kernels: results are
-/// bit-identical between serial and parallel execution at any thread count
-/// (the reduction order per element never depends on sharding).
-CollectiveReport ps_all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
-/// In-place mean via naive AllReduce (every pair exchanges buffers).
-CollectiveReport all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
-/// In-place mean via Ring-AllReduce: reduce-scatter then all-gather with
-/// K chunks.  Exercises the actual chunked dataflow.
-CollectiveReport ring_all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
+///   PS  — the server accumulates all K updates and broadcasts the mean.
+///   AR  — every worker receives every peer's buffer and reduces locally.
+///   RAR — the chunked ring dataflow: reduce-scatter then all-gather with
+///         K chunks, then the mean in float.
+/// Element ranges shard over `ctx` with the same deterministic-sharding
+/// contract as the tensor kernels: results are bit-identical between serial
+/// and parallel execution at any thread count (the reduction order per
+/// element never depends on sharding).  Returns the topology's
+/// collective_cost for the buffers.
 CollectiveReport collective_mean(
     Topology topology, std::vector<std::span<float>> buffers,
     double bandwidth_mbps,

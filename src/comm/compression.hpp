@@ -3,17 +3,15 @@
 // "By default, Photon uses lossless compression techniques without
 // pruning").
 //
-// Two real codecs are provided:
-//  * rle0  — run-length encodes zero bytes; effective on clipped/sparse
-//            pseudo-gradients and on padded buffers.
-//  * lzss  — greedy LZSS with a 4 KiB window; general-purpose lossless.
-// Both round-trip bit-exactly on arbitrary input (property-tested).
+// One lossless codec is provided: rle0, which run-length encodes zero
+// bytes; it is effective on clipped/sparse pseudo-gradients and on padded
+// buffers, and round-trips bit-exactly on arbitrary input (property-
+// tested).  The lossy q8/q4 codecs live in quantization.hpp.
 //
-// lzss is *diagnostic-only*: even with the hash-chain/skip-ahead encoder
-// its worst case (dense zero runs from clipped updates) sits well below
-// the 0.3 GB/s wire floor that bench_round_path enforces for every codec
-// in enabled_wire_codecs(), so no default config or bench sweep selects
-// it.  It stays registered for explicit opt-in and correctness tests.
+// A codec has one encoder and one decoder, both into caller buffers (the
+// PHO2 frame records each chunk's raw size), plus raw_size, which reads a
+// chunk's raw size from its structure so a frame can be validated without
+// decoding it.
 
 #include <cstdint>
 #include <memory>
@@ -51,15 +49,12 @@ class Codec {
   virtual void decompress_into(std::span<const std::uint8_t> input,
                                std::span<std::uint8_t> out) const = 0;
 
-  /// Size-discovering decompress (legacy convenience; allocates).
-  virtual std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> input) const = 0;
-
-  std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) const {
-    std::vector<std::uint8_t> out;
-    compress_into(input, out);
-    return out;
-  }
+  /// The one out.size() for which decompress_into(input, out) succeeds,
+  /// read from the compressed structure without decoding it; throws
+  /// std::runtime_error where no size would.  Message::validate_wire checks
+  /// each chunk against its planned raw size with this, so a frame it
+  /// accepts is one decode_into would accept.
+  virtual std::size_t raw_size(std::span<const std::uint8_t> input) const = 0;
 };
 
 class Rle0Codec final : public Codec {
@@ -69,19 +64,7 @@ class Rle0Codec final : public Codec {
                      std::vector<std::uint8_t>& out) const override;
   void decompress_into(std::span<const std::uint8_t> input,
                        std::span<std::uint8_t> out) const override;
-  std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> input) const override;
-};
-
-class LzssCodec final : public Codec {
- public:
-  std::string name() const override { return "lzss"; }
-  void compress_into(std::span<const std::uint8_t> input,
-                     std::vector<std::uint8_t>& out) const override;
-  void decompress_into(std::span<const std::uint8_t> input,
-                       std::span<std::uint8_t> out) const override;
-  std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> input) const override;
+  std::size_t raw_size(std::span<const std::uint8_t> input) const override;
 };
 
 /// Codec registry; returns nullptr for unknown names, and an identity for "".
@@ -90,8 +73,7 @@ const Codec* codec_by_name(const std::string& name);
 /// Codecs eligible for default wire paths: "" identity, lossless "rle0",
 /// and the lossy blockwise-quantized "q8"/"q4" (see quantization.hpp).
 /// Every lossless entry must sustain >= 0.3 GB/s encode and every quantized
-/// entry >= 1 GB/s on adversarial payloads — enforced by bench_round_path —
-/// which is why lzss is not in the list.
+/// entry >= 1 GB/s on adversarial payloads — enforced by bench_round_path.
 const std::vector<std::string>& enabled_wire_codecs();
 
 }  // namespace photon

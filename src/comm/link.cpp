@@ -41,12 +41,6 @@ double SimLink::transfer_time(std::uint64_t bytes) const {
   return latency_s_ + static_cast<double>(bytes) / bytes_per_second;
 }
 
-Message SimLink::transmit(const Message& message) {
-  Message received;
-  transmit(message, received);
-  return received;
-}
-
 void SimLink::set_metrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     counters_ = {};

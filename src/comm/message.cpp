@@ -89,6 +89,73 @@ void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
   w.write(static_cast<std::uint32_t>(plan.n_chunks));
 }
 
+// The parsed part of a PHO2 frame ahead of the chunk bytes.
+struct Frame {
+  ChunkPlan plan;
+  const Codec* codec = nullptr;
+  std::uint32_t expected_crc = 0;
+};
+
+// The one PHO2 frame reader behind decode_into and validate_wire, so both
+// judge a frame's structure the same way.  Parses the header into `out`
+// (type, round, sender, codec, metadata; the payload is left alone) and the
+// chunk table into `lens` and `offs` (absolute offsets into `wire`), and
+// checks the magic, the payload size, the table against the chunk plan,
+// that every chunk and the CRC field are present, and the codec name.
+Frame read_frame(std::span<const std::uint8_t> wire, Message& out,
+                 std::vector<std::uint64_t>& lens,
+                 std::vector<std::uint64_t>& offs) {
+  BinaryReader r(wire);
+  if (r.read<std::uint32_t>() != kMagic) {
+    throw std::runtime_error("Message::decode: bad magic");
+  }
+  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
+  out.round = r.read<std::uint32_t>();
+  out.sender = r.read<std::uint32_t>();
+  out.codec = r.read_string();
+  out.metadata.clear();
+  const auto n_meta = r.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < n_meta; ++i) {
+    const std::string key = r.read_string();
+    out.metadata[key] = r.read<double>();
+  }
+  const auto elems = r.read<std::uint64_t>();
+  const auto chunk_bytes = r.read<std::uint64_t>();
+  const auto n_chunks = r.read<std::uint32_t>();
+
+  // No codec expands a wire byte into more than 128 raw bytes (rle0 tops
+  // out at 255 raw per 2-byte op), so this bound rejects corrupted element
+  // counts before any payload resize without overflowing elems * 4.
+  if (elems / 128 > wire.size()) {
+    throw std::runtime_error("Message::decode: implausible payload size");
+  }
+  Frame frame;
+  frame.plan = plan_chunks(static_cast<std::size_t>(elems) * sizeof(float),
+                           chunk_bytes);
+  if (frame.plan.n_chunks != n_chunks ||
+      (frame.plan.raw_bytes != 0 && frame.plan.chunk_bytes != chunk_bytes)) {
+    throw std::runtime_error("Message::decode: bad chunk table");
+  }
+
+  lens.resize(n_chunks);
+  offs.resize(n_chunks);
+  std::size_t total = 0;
+  for (std::uint32_t c = 0; c < n_chunks; ++c) {
+    lens[c] = r.read<std::uint64_t>();
+    if (lens[c] > r.remaining()) {
+      throw std::runtime_error("Message::decode: truncated chunk table");
+    }
+    offs[c] = total;
+    total += lens[c];
+  }
+  const auto data = r.view_raw(total);
+  const auto data_off = static_cast<std::size_t>(data.data() - wire.data());
+  for (auto& off : offs) off += data_off;
+  frame.expected_crc = r.read<std::uint32_t>();
+  frame.codec = require_codec(out.codec, "Message::decode");
+  return frame;
+}
+
 }  // namespace
 
 std::size_t wire_chunk_bytes() { return g_chunk_bytes; }
@@ -160,157 +227,63 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
   return scratch.wire;
 }
 
-std::vector<std::uint8_t> Message::encode() const {
-  WireScratch scratch;
-  encode_into(scratch, nullptr);
-  return std::move(scratch.wire);
-}
-
 void Message::decode_into(std::span<const std::uint8_t> wire, Message& out,
                           ThreadPool* pool) {
-  BinaryReader r(wire);
-  if (r.read<std::uint32_t>() != kMagic) {
-    throw std::runtime_error("Message::decode: bad magic");
-  }
-  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
-  out.round = r.read<std::uint32_t>();
-  out.sender = r.read<std::uint32_t>();
-  out.codec = r.read_string();
-  out.metadata.clear();
-  const auto n_meta = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n_meta; ++i) {
-    const std::string key = r.read_string();
-    out.metadata[key] = r.read<double>();
-  }
-  const auto elems = r.read<std::uint64_t>();
-  const auto chunk_bytes = r.read<std::uint64_t>();
-  const auto n_chunks = r.read<std::uint32_t>();
-
-  // No codec expands a wire byte into more than 128 raw bytes (rle0 tops
-  // out at 255 raw per 2-byte op), so this bound rejects corrupted element
-  // counts before the payload resize below without overflowing elems * 4.
-  if (elems / 128 > wire.size()) {
-    throw std::runtime_error("Message::decode: implausible payload size");
-  }
-  const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
-  if (plan.n_chunks != n_chunks ||
-      (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
-    throw std::runtime_error("Message::decode: bad chunk table");
-  }
-
-  std::vector<std::uint64_t> lens(n_chunks);
-  std::vector<std::uint64_t> offs(n_chunks);
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    lens[c] = r.read<std::uint64_t>();
-    offs[c] = total;
-    if (lens[c] > r.remaining()) {
-      throw std::runtime_error("Message::decode: truncated chunk table");
-    }
-    total += lens[c];
-  }
-  const auto data = r.view_raw(total);
-  const auto expected_crc = r.read<std::uint32_t>();
+  std::vector<std::uint64_t> lens;
+  std::vector<std::uint64_t> offs;
+  const Frame frame = read_frame(wire, out, lens, offs);
 
   out.payload_view = {};
-  out.payload.resize(elems);
+  out.payload.resize(frame.plan.raw_bytes / sizeof(float));
   auto* raw_out = reinterpret_cast<std::uint8_t*>(out.payload.data());
-  const Codec* codec_ptr = require_codec(out.codec, "Message::decode");
+  const ChunkPlan& plan = frame.plan;
 
-  std::vector<std::uint32_t> crcs(n_chunks);
-  const bool identity = codec_ptr->is_identity();
-  for_chunks(pool, n_chunks, [&](std::size_t c) {
-    const auto comp = data.subspan(offs[c], lens[c]);
+  std::vector<std::uint32_t> crcs(lens.size());
+  const bool identity = frame.codec->is_identity();
+  for_chunks(pool, lens.size(), [&](std::size_t c) {
+    const auto comp = wire.subspan(offs[c], lens[c]);
     if (identity && comp.size() == plan.raw_len(c)) {
       // Fused copy+CRC; a size mismatch falls through to decompress_into,
       // which raises the usual corrupt-chunk error.
       crcs[c] = crc32_copy(raw_out + plan.raw_off(c), comp);
     } else {
       crcs[c] = crc32(comp);
-      codec_ptr->decompress_into(comp,
-                                 {raw_out + plan.raw_off(c), plan.raw_len(c)});
+      frame.codec->decompress_into(
+          comp, {raw_out + plan.raw_off(c), plan.raw_len(c)});
     }
   });
-  if (fold_crcs(crcs, lens) != expected_crc) {
+  if (fold_crcs(crcs, lens) != frame.expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
 }
 
-Message Message::decode(std::span<const std::uint8_t> wire) {
-  Message m;
-  decode_into(wire, m, nullptr);
-  return m;
-}
-
 void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool) {
-  BinaryReader r(wire);
-  if (r.read<std::uint32_t>() != kMagic) {
-    throw std::runtime_error("Message::decode: bad magic");
-  }
-  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
-  out.round = r.read<std::uint32_t>();
-  out.sender = r.read<std::uint32_t>();
-  out.codec = r.read_string();
-  out.metadata.clear();
-  const auto n_meta = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n_meta; ++i) {
-    const std::string key = r.read_string();
-    out.metadata[key] = r.read<double>();
-  }
-  const auto elems = r.read<std::uint64_t>();
-  const auto chunk_bytes = r.read<std::uint64_t>();
-  const auto n_chunks = r.read<std::uint32_t>();
-
-  if (elems / 128 > wire.size()) {
-    throw std::runtime_error("Message::decode: implausible payload size");
-  }
-  const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
-  if (plan.n_chunks != n_chunks ||
-      (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
-    throw std::runtime_error("Message::decode: bad chunk table");
-  }
-
-  std::vector<std::uint64_t> lens(n_chunks);
-  std::vector<std::uint64_t> rel(n_chunks);
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    lens[c] = r.read<std::uint64_t>();
-    rel[c] = total;
-    if (lens[c] > r.remaining()) {
-      throw std::runtime_error("Message::decode: truncated chunk table");
-    }
-    total += lens[c];
-  }
-  const auto data = r.view_raw(total);
-  const auto expected_crc = r.read<std::uint32_t>();
-  require_codec(out.codec, "Message::validate_wire");
+  const Frame frame = read_frame(wire, out, view.lens, view.offs);
 
   // The wire CRC is folded over the *compressed* chunk bytes, so integrity
-  // is fully checked here without touching the codec.
-  std::vector<std::uint32_t> crcs(n_chunks);
-  for_chunks(pool, n_chunks, [&](std::size_t c) {
-    crcs[c] = crc32(data.subspan(rel[c], lens[c]));
+  // is checked without decoding; the codec reads each chunk's raw size from
+  // its structure, which must be the size the chunk plan gives it — the
+  // check decode_into makes by decoding.
+  std::vector<std::uint32_t> crcs(view.lens.size());
+  for_chunks(pool, view.lens.size(), [&](std::size_t c) {
+    const auto comp = wire.subspan(view.offs[c], view.lens[c]);
+    crcs[c] = crc32(comp);
+    if (frame.codec->raw_size(comp) != frame.plan.raw_len(c)) {
+      throw std::runtime_error("Message::decode: chunk size mismatch");
+    }
   });
-  if (fold_crcs(crcs, lens) != expected_crc) {
+  if (fold_crcs(crcs, view.lens) != frame.expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
 
   out.payload.clear();
   out.payload_view = {};
 
-  const auto data_off = static_cast<std::size_t>(data.data() - wire.data());
   view.codec = out.codec;
-  view.elems = elems;
-  view.raw_bytes = raw_bytes;
-  view.chunk_raw_bytes = plan.chunk_bytes;
-  view.lens = std::move(lens);
-  view.offs.resize(n_chunks);
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    view.offs[c] = data_off + rel[c];
-  }
+  view.elems = frame.plan.raw_bytes / sizeof(float);
+  view.raw_bytes = frame.plan.raw_bytes;
+  view.chunk_raw_bytes = frame.plan.chunk_bytes;
   view.bytes.assign(wire.begin(), wire.end());
 }
 

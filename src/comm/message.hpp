@@ -73,11 +73,12 @@ std::size_t wire_chunk_bytes();
 void set_wire_chunk_bytes(std::size_t bytes);
 
 /// A validated-but-undecoded wire image: header parsed, every chunk CRC
-/// verified, compressed chunk bytes retained verbatim.  Because the wire CRC
-/// covers the *codec output* bytes, integrity checking needs no
-/// decompression — which is what lets the Aggregator's streamed fan-in
-/// dequantize-and-accumulate each chunk as it arrives instead of
-/// materializing the full fp32 payload per client (Message::validate_wire).
+/// verified and its raw size checked against the chunk plan, compressed
+/// chunk bytes retained verbatim.  Because the wire CRC covers the *codec
+/// output* bytes, integrity checking needs no decompression — which is
+/// what lets the Aggregator's streamed fan-in dequantize-and-accumulate
+/// each chunk as it arrives instead of materializing the full fp32 payload
+/// per client (Message::validate_wire).
 struct WireView {
   std::vector<std::uint8_t> bytes;  // owned copy of the full wire image
   std::string codec;
@@ -117,29 +118,25 @@ struct Message {
                                 : payload_view;
   }
 
-  /// Serialize to wire bytes (header + optionally compressed payload + CRC).
-  std::vector<std::uint8_t> encode() const;
-
   /// Chunked encode into reused scratch; per-chunk codec and CRC work runs
   /// on `pool` when given (nullptr = inline).  Returns a view of
   /// scratch.wire.  Bytes are identical for any pool / thread count.
   std::span<const std::uint8_t> encode_into(WireScratch& scratch,
                                             ThreadPool* pool = nullptr) const;
 
-  /// Parse wire bytes; throws std::runtime_error on CRC mismatch or
-  /// truncation.
-  static Message decode(std::span<const std::uint8_t> wire);
-
   /// Decode into `out`, reusing its payload capacity; per-chunk CRC and
-  /// codec work runs on `pool` when given.
+  /// codec work runs on `pool` when given.  Throws std::runtime_error on a
+  /// malformed or truncated frame, an unknown codec, a corrupt chunk or a
+  /// CRC mismatch.
   static void decode_into(std::span<const std::uint8_t> wire, Message& out,
                           ThreadPool* pool = nullptr);
 
   /// Validate `wire` without decompressing: parse the header into `out`
   /// (payload left empty), CRC-check every chunk on `pool`, and retain the
-  /// compressed image in `view` (capacity reused across rounds).  Throws
-  /// std::runtime_error exactly where decode_into would — same corruption
-  /// detection, none of the dequantization cost.
+  /// compressed image in `view` (capacity reused across rounds).  It
+  /// parses the frame with decode_into's reader and checks each chunk's
+  /// raw size with Codec::raw_size, so it accepts exactly the frames
+  /// decode_into accepts, without the dequantization cost.
   static void validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool = nullptr);
 

@@ -67,6 +67,24 @@ std::size_t encoded_bytes(std::size_t n_floats, int bits) {
   return kScalesOff + 4 * n_blocks(n_floats) + code_bytes_for(n_floats, bits);
 }
 
+namespace {
+
+// Float count of a mode-0 chunk, after checking its header and that its
+// size is exactly the layout's for that count.
+std::size_t chunk_floats(std::span<const std::uint8_t> in, int bits) {
+  if (in.size() < kScalesOff || in[kModeOff] != 0) {
+    throw std::runtime_error("wire_quant: malformed chunk header");
+  }
+  std::uint32_t n32;
+  std::memcpy(&n32, in.data() + kCountOff, sizeof(n32));
+  if (in.size() != encoded_bytes(n32, bits)) {
+    throw std::runtime_error("wire_quant: truncated chunk");
+  }
+  return n32;
+}
+
+}  // namespace
+
 bool encode_chunk(const float* x, std::size_t n, int bits,
                   std::vector<std::uint8_t>& out) {
   if (n > 0xFFFFFFFFull) return false;
@@ -114,30 +132,11 @@ bool encode_chunk(const float* x, std::size_t n, int bits,
   return true;
 }
 
-std::size_t decoded_bytes(std::span<const std::uint8_t> in) {
-  if (in.empty()) return 0;
-  if (in[kModeOff] == 1) return in.size() - 1;
-  if (in[kModeOff] != 0 || in.size() < kScalesOff) {
-    throw std::runtime_error("wire_quant: malformed chunk header");
-  }
-  std::uint32_t n32;
-  std::memcpy(&n32, in.data() + kCountOff, sizeof(n32));
-  return static_cast<std::size_t>(n32) * sizeof(float);
-}
-
 void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                   int bits) {
-  if (in.size() < kScalesOff || in[kModeOff] != 0) {
-    throw std::runtime_error("wire_quant: malformed chunk header");
-  }
-  std::uint32_t n32;
-  std::memcpy(&n32, in.data() + kCountOff, sizeof(n32));
-  const std::size_t n = n32;
+  const std::size_t n = chunk_floats(in, bits);
   if (n * sizeof(float) != out.size()) {
     throw std::runtime_error("wire_quant: chunk size mismatch");
-  }
-  if (in.size() != encoded_bytes(n, bits)) {
-    throw std::runtime_error("wire_quant: truncated chunk");
   }
   const std::size_t nb = n_blocks(n);
   const std::uint8_t* scales = in.data() + kScalesOff;
@@ -253,11 +252,10 @@ void QuantCodec::decompress_into(std::span<const std::uint8_t> input,
   wire_quant::decode_chunk(input, out, bits_);
 }
 
-std::vector<std::uint8_t> QuantCodec::decompress(
-    std::span<const std::uint8_t> input) const {
-  std::vector<std::uint8_t> out(wire_quant::decoded_bytes(input));
-  decompress_into(input, out);
-  return out;
+std::size_t QuantCodec::raw_size(std::span<const std::uint8_t> input) const {
+  if (input.empty()) return 0;
+  if (input[0] == 1) return input.size() - 1;
+  return wire_quant::chunk_floats(input, bits_) * sizeof(float);
 }
 
 }  // namespace photon

@@ -57,9 +57,6 @@ bool encode_chunk(const float* x, std::size_t n, int bits,
 void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                   int bits);
 
-/// Raw size (bytes) a full encoded chunk decodes to; throws on malformed.
-std::size_t decoded_bytes(std::span<const std::uint8_t> in);
-
 /// Overwrite `res` with the blockwise reconstruction error the q8/q4 codec
 /// will leave on `x` (res = x - dequant(quant(x))), replicating the PHO2
 /// chunking at wire_chunk_bytes() and the per-block scales exactly.  This is
@@ -83,8 +80,7 @@ class QuantCodec final : public Codec {
                      std::vector<std::uint8_t>& out) const override;
   void decompress_into(std::span<const std::uint8_t> input,
                        std::span<std::uint8_t> out) const override;
-  std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> input) const override;
+  std::size_t raw_size(std::span<const std::uint8_t> input) const override;
 
  private:
   int bits_;

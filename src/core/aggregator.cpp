@@ -868,8 +868,8 @@ RoundRecord Aggregator::run_round_sync() {
     }
   }
 
-  record.update_norm =
-      kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
+  record.update_norm = kernels::l2_norm(
+      kernels::default_context(), pseudo_grad.data(), pseudo_grad.size());
   apply_server_opt(pseudo_grad, t_round_end, tracing);
 
   // AggMetrics (L10).
@@ -1308,7 +1308,8 @@ RoundRecord Aggregator::run_round_async() {
                    : 0.0;
   pseudo_grad_.resize(n);
   fold_.finish(pseudo_grad_);
-  record.update_norm = kernels::l2_norm(pseudo_grad_.data(), n);
+  record.update_norm =
+      kernels::l2_norm(kernels::default_context(), pseudo_grad_.data(), n);
   apply_server_opt(pseudo_grad_, sim_now_, tracing);
   record.client_metrics =
       aggregate_metrics(accepted_metrics, accepted_weights);

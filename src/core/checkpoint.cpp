@@ -108,24 +108,6 @@ CheckpointStore::CheckpointStore(std::filesystem::path dir,
   }
 }
 
-void CheckpointStore::save(std::uint32_t round, std::span<const float> params,
-                           double eval_perplexity) {
-  Checkpoint meta;
-  meta.round = round;
-  meta.eval_perplexity = eval_perplexity;
-  save(std::move(meta), params, {});
-}
-
-void CheckpointStore::save(Checkpoint ckpt) {
-  if (dir_.empty()) {
-    remember(std::move(ckpt));
-    return;
-  }
-  const std::vector<std::span<const float>> residuals(
-      ckpt.client_ef_residuals.begin(), ckpt.client_ef_residuals.end());
-  write_to_disk(ckpt, ckpt.params, residuals);
-}
-
 void CheckpointStore::save(
     Checkpoint meta, std::span<const float> params,
     std::span<const std::span<const float>> ef_residuals) {
@@ -138,11 +120,7 @@ void CheckpointStore::save(
   for (const auto residual : ef_residuals) {
     meta.client_ef_residuals.emplace_back(residual.begin(), residual.end());
   }
-  remember(std::move(meta));
-}
-
-void CheckpointStore::remember(Checkpoint ckpt) {
-  memory_.push_back(std::move(ckpt));
+  memory_.push_back(std::move(meta));
   if (memory_.size() > keep_last_) {
     memory_.erase(memory_.begin(),
                   memory_.begin() +

@@ -122,12 +122,8 @@ class CheckpointStore {
   explicit CheckpointStore(std::filesystem::path dir = {},
                            std::size_t keep_last = 3);
 
-  void save(std::uint32_t round, std::span<const float> params,
-            double eval_perplexity = -1.0);
-  /// Full save including recovery metadata.
-  void save(Checkpoint ckpt);
-  /// Full save with the bulk buffers borrowed for the call: `meta` carries
-  /// every small field (its `params` and `client_ef_residuals` are
+  /// Save one snapshot with the bulk buffers borrowed for the call: `meta`
+  /// carries every small field (its `params` and `client_ef_residuals` are
   /// ignored), `params` and one span per client residual are read in
   /// place.  A disk store writes them straight into the file; a memory-only
   /// store copies them into its ring, since that copy is its snapshot.
@@ -174,7 +170,6 @@ class CheckpointStore {
  private:
   void journal_append(char tag, std::uint32_t round);
   void replay_journal();
-  void remember(Checkpoint ckpt);
   void write_to_disk(const Checkpoint& ckpt, std::span<const float> params,
                      std::span<const std::span<const float>> ef_residuals);
   std::optional<Checkpoint> read_from_disk(std::uint32_t round) const;

@@ -91,8 +91,9 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
     // which is fine — zero_grad() clears them before the next step reads
     // them.
     const double norm =
-        opt_->step_clipped(model_->params(), model_->grads(), schedule_,
-                           step_base + step, config_.max_grad_norm);
+        opt_->step_clipped(kernels::default_context(), model_->params(),
+                           model_->grads(), schedule_, step_base + step,
+                           config_.max_grad_norm);
     loss_sum += loss;
     grad_norm_sum += norm;
     tokens += static_cast<std::uint64_t>(batch) * seq;
@@ -125,14 +126,6 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
     window.clear();
     data_->next_tokens(row, window);
   }
-}
-
-ClientUpdate LLMClient::run_round(std::span<const float> global_params,
-                                  std::uint32_t round, int local_steps,
-                                  std::int64_t schedule_step_base) {
-  ClientUpdate update;
-  run_round(global_params, round, local_steps, schedule_step_base, update);
-  return update;
 }
 
 void LLMClient::run_round(std::span<const float> global_params,
@@ -194,8 +187,8 @@ void LLMClient::run_round(std::span<const float> global_params,
   // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass.
   update.delta.resize(model_->num_params());
   const auto params = model_->params();
-  kernels::sub(update.delta.data(), global_params.data(), params.data(),
-               params.size());
+  kernels::sub(kernels::default_context(), update.delta.data(),
+               global_params.data(), params.data(), params.size());
 
   // Post-processing (Alg. 1 L28): clip / DP noise / codec selection.  The
   // (round, client) context keys the stateless DP noise stream.
@@ -215,7 +208,7 @@ void LLMClient::run_round(std::span<const float> global_params,
     wire_quant::residual_of(update.delta.data(), ef_residual_.data(), n,
                             qbits);
     update.metrics["ef_residual_norm"] =
-        kernels::l2_norm(ef_residual_.data(), n);
+        kernels::l2_norm(kernels::default_context(), ef_residual_.data(), n);
   }
 
   // Ephemeral mode: the delta is computed and post-processed, so the

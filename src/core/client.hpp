@@ -55,10 +55,9 @@ struct ClientTrainConfig {
   double clip_update_norm = 0.0;     // 0 = no update clipping
   double dp_noise_multiplier = 0.0;  // 0 = no DP noise
   /// Wire codec for the update return: "" / "rle0" (lossless), "q8" / "q4"
-  /// (lossy blockwise quantization), "lzss" (diagnostic-only).  When empty,
-  /// the PHOTON_WIRE_CODEC environment variable (read at construction)
-  /// overrides it — used by tools/ci.sh to rerun tier-1 over the quantized
-  /// wire path.
+  /// (lossy blockwise quantization).  When empty, the PHOTON_WIRE_CODEC
+  /// environment variable (read at construction) overrides it — used by
+  /// tools/ci.sh to rerun tier-1 over the quantized wire path.
   std::string link_codec;
   /// Error feedback for lossy wire codecs: carry the quantization residual
   /// delta - dequant(quant(delta)) into the next round's pseudo-gradient so
@@ -98,13 +97,9 @@ class LLMClient {
   /// the cumulative sequential local-step count, synchronizing the cosine
   /// schedule across rounds (Table 5: "S_C synchronized across sequential
   /// steps").
-  ClientUpdate run_round(std::span<const float> global_params,
-                         std::uint32_t round, int local_steps,
-                         std::int64_t schedule_step_base);
-
-  /// Allocation-reusing variant: writes into `out`, recycling its delta and
-  /// metric storage across rounds (the Aggregator keeps one ClientUpdate
-  /// per cohort slot alive for the whole run).
+  /// Writes into `out`, recycling its delta and metric storage across
+  /// rounds (the Aggregator keeps one ClientUpdate per cohort slot alive
+  /// for the whole run).
   void run_round(std::span<const float> global_params, std::uint32_t round,
                  int local_steps, std::int64_t schedule_step_base,
                  ClientUpdate& out);

@@ -42,20 +42,9 @@ void AdamW::step_impl(const kernels::KernelContext& ctx,
                       });
 }
 
-void AdamW::step(std::span<float> params, std::span<const float> grads,
-                 float lr) {
-  step_impl(kernels::default_context(), params, grads, lr, 1.0f);
-}
-
 void AdamW::step(const kernels::KernelContext& ctx, std::span<float> params,
                  std::span<const float> grads, float lr) {
   step_impl(ctx, params, grads, lr, 1.0f);
-}
-
-double AdamW::step_clipped(std::span<float> params,
-                           std::span<const float> grads, float lr,
-                           double max_norm) {
-  return step_clipped(kernels::default_context(), params, grads, lr, max_norm);
 }
 
 double AdamW::step_clipped(const kernels::KernelContext& ctx,
@@ -71,14 +60,6 @@ double AdamW::step_clipped(const kernels::KernelContext& ctx,
                            : 1.0f;
   step_impl(ctx, params, grads, lr, gscale);
   return norm;
-}
-
-double AdamW::step_clipped(std::span<float> params,
-                           std::span<const float> grads,
-                           const CosineSchedule& schedule, std::int64_t step,
-                           double max_norm) {
-  return step_clipped(kernels::default_context(), params, grads,
-                      schedule.lr_at(step), max_norm);
 }
 
 double AdamW::step_clipped(const kernels::KernelContext& ctx,
@@ -97,11 +78,6 @@ void AdamW::reset() {
 
 SgdNesterov::SgdNesterov(std::size_t num_params, float momentum)
     : momentum_(momentum), buf_(num_params, 0.0f) {}
-
-void SgdNesterov::step(std::span<float> params, std::span<const float> grads,
-                       float lr) {
-  step(kernels::default_context(), params, grads, lr);
-}
 
 void SgdNesterov::step(const kernels::KernelContext& ctx,
                        std::span<float> params, std::span<const float> grads,
@@ -130,10 +106,11 @@ void SgdNesterov::reset() {
 }
 
 double clip_grad_norm(std::span<float> grads, double max_norm) {
-  const double norm = kernels::l2_norm(grads.data(), grads.size());
+  const auto& ctx = kernels::default_context();
+  const double norm = kernels::l2_norm(ctx, grads.data(), grads.size());
   if (norm > max_norm && norm > 0.0) {
     const auto scale = static_cast<float>(max_norm / norm);
-    kernels::scale_inplace(grads.data(), scale, grads.size());
+    kernels::scale_inplace(ctx, grads.data(), scale, grads.size());
   }
   return norm;
 }

@@ -33,7 +33,6 @@ class AdamW {
 
   /// One update: params -= lr * (corrected m / (sqrt(corrected v) + eps)
   ///                             + weight_decay * params).
-  void step(std::span<float> params, std::span<const float> grads, float lr);
   void step(const kernels::KernelContext& ctx, std::span<float> params,
             std::span<const float> grads, float lr);
 
@@ -42,8 +41,6 @@ class AdamW {
   /// (gc = g * scale), so clipping costs no extra pass and `grads` is left
   /// unmodified.  Bit-identical to clip_grad_norm() followed by step().
   /// Returns the pre-clip norm.
-  double step_clipped(std::span<float> params, std::span<const float> grads,
-                      float lr, double max_norm);
   double step_clipped(const kernels::KernelContext& ctx,
                       std::span<float> params, std::span<const float> grads,
                       float lr, double max_norm);
@@ -53,9 +50,6 @@ class AdamW {
   /// call per step with no separate schedule pass.  The LR is the exact
   /// float CosineSchedule::lr_at returns, so loss curves are bit-identical
   /// to the two-call form.
-  double step_clipped(std::span<float> params, std::span<const float> grads,
-                      const CosineSchedule& schedule, std::int64_t step,
-                      double max_norm);
   double step_clipped(const kernels::KernelContext& ctx,
                       std::span<float> params, std::span<const float> grads,
                       const CosineSchedule& schedule, std::int64_t step,
@@ -84,7 +78,6 @@ class SgdNesterov {
   SgdNesterov(std::size_t num_params, float momentum);
 
   /// Nesterov update: buf = mu*buf + g; params -= lr * (g + mu*buf).
-  void step(std::span<float> params, std::span<const float> grads, float lr);
   void step(const kernels::KernelContext& ctx, std::span<float> params,
             std::span<const float> grads, float lr);
 

@@ -139,8 +139,9 @@ Tensor Tensor::matmul(const Tensor& rhs) const {
   }
   const auto m = shape_[0], k = shape_[1], n = rhs.shape_[1];
   Tensor out({m, n});
-  kernels::matmul(out.data(), data(), rhs.data(), static_cast<int>(m),
-                  static_cast<int>(k), static_cast<int>(n));
+  kernels::matmul(kernels::default_context(), out.data(), data(), rhs.data(),
+                  static_cast<int>(m), static_cast<int>(k),
+                  static_cast<int>(n));
   return out;
 }
 

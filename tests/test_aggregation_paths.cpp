@@ -30,6 +30,7 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "util/serialization.hpp"
+#include "test_helpers.hpp"
 
 namespace photon {
 namespace {
@@ -382,7 +383,7 @@ class HostileRestore : public ::testing::Test {
       CheckpointStore store(base_);
       const std::uint32_t round = ckpt_.round;
       store.journal_begin(round);
-      store.save(ckpt_);
+      test::save(store, ckpt_);
       store.journal_commit(round);
     }
     auto agg = build(ac_, uniform(4, "q8"));

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
@@ -15,6 +16,7 @@
 #include "tensor/kernel_context.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
+#include "test_helpers.hpp"
 
 namespace photon {
 namespace {
@@ -40,31 +42,24 @@ TEST_P(CodecRoundTrip, ArbitraryInputsRoundTripExactly) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (double zf : {0.0, 0.3, 0.9, 1.0}) {
       const auto input = random_bytes(1 + seed * 137, seed, zf);
-      const auto compressed = codec->compress(input);
-      const auto output = codec->decompress(compressed);
+      const auto packed = test::compressed(*codec, input);
+      ASSERT_EQ(codec->raw_size(packed), input.size());
+      const auto output = test::decompressed(*codec, packed, input.size());
       ASSERT_EQ(output, input) << GetParam() << " seed=" << seed << " zf=" << zf;
     }
   }
   // Empty input.
-  EXPECT_TRUE(codec->decompress(codec->compress({})).empty());
+  EXPECT_TRUE(
+      test::decompressed(*codec, test::compressed(*codec, {}), 0).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRoundTrip,
-                         ::testing::Values("", "rle0", "lzss"));
+                         ::testing::Values("", "rle0"));
 
 TEST(Rle0Codec, CompressesZeroRuns) {
   Rle0Codec codec;
   const std::vector<std::uint8_t> zeros(1000, 0);
-  EXPECT_LT(codec.compress(zeros).size(), 20u);
-}
-
-TEST(LzssCodec, CompressesRepetitiveData) {
-  LzssCodec codec;
-  std::vector<std::uint8_t> rep;
-  for (int i = 0; i < 200; ++i) {
-    rep.insert(rep.end(), {'p', 'h', 'o', 't', 'o', 'n', '-'});
-  }
-  EXPECT_LT(codec.compress(rep).size(), rep.size() / 3);
+  EXPECT_LT(test::compressed(codec, zeros).size(), 20u);
 }
 
 TEST(CodecRegistry, UnknownNameIsNull) {
@@ -77,13 +72,13 @@ TEST(Message, RoundTripWithMetadataAndCompression) {
   m.type = MessageType::kClientUpdate;
   m.round = 42;
   m.sender = 7;
-  m.codec = "lzss";
+  m.codec = "rle0";
   m.payload = {1.0f, -2.0f, 0.0f, 0.0f, 0.0f, 3.5f};
   m.metadata["train_loss"] = 2.5;
   m.metadata["tokens"] = 4096.0;
 
-  const auto wire = m.encode();
-  const Message back = Message::decode(wire);
+  const auto wire = test::encoded(m);
+  const Message back = test::decoded(wire);
   EXPECT_EQ(back.type, MessageType::kClientUpdate);
   EXPECT_EQ(back.round, 42u);
   EXPECT_EQ(back.sender, 7u);
@@ -95,14 +90,14 @@ TEST(Message, RoundTripWithMetadataAndCompression) {
 TEST(Message, CrcDetectsCorruption) {
   Message m;
   m.payload = {1.0f, 2.0f, 3.0f};
-  auto wire = m.encode();
+  auto wire = test::encoded(m);
   wire[wire.size() / 2] ^= 0xFF;  // flip payload bits
-  EXPECT_THROW(Message::decode(wire), std::runtime_error);
+  EXPECT_THROW(test::decoded(wire), std::runtime_error);
 }
 
 TEST(Message, BadMagicRejected) {
   std::vector<std::uint8_t> junk(64, 0xAB);
-  EXPECT_THROW(Message::decode(junk), std::runtime_error);
+  EXPECT_THROW(test::decoded(junk), std::runtime_error);
 }
 
 TEST(Message, SparsePayloadCompressesOnWire) {
@@ -124,7 +119,8 @@ TEST(SimLink, TransmitAccountsAndPreservesMessage) {
   SimLink link("test", 1.0);
   Message m;
   m.payload = {1.0f, 2.0f};
-  const Message back = link.transmit(m);
+  Message back;
+  link.transmit(m, back);
   EXPECT_EQ(back.payload, m.payload);
   EXPECT_EQ(link.stats().messages, 1u);
   EXPECT_EQ(link.stats().payload_bytes, 8u);
@@ -198,16 +194,18 @@ TEST(Collective, ByteAccountingMatchesFormulas) {
   const std::uint64_t size_bytes = n * sizeof(float);
 
   auto b1 = bufs;
-  const auto ps = ps_all_reduce_mean(spans_of(b1), 100.0);
+  const auto ps =
+      collective_mean(Topology::kParameterServer, spans_of(b1), 100.0);
   EXPECT_EQ(ps.bottleneck_bytes, k * size_bytes);
 
   auto b2 = bufs;
-  const auto ar = all_reduce_mean(spans_of(b2), 100.0);
+  const auto ar = collective_mean(Topology::kAllReduce, spans_of(b2), 100.0);
   EXPECT_EQ(ar.bottleneck_bytes, (k - 1) * size_bytes);
   EXPECT_EQ(ar.total_bytes, static_cast<std::uint64_t>(k) * (k - 1) * size_bytes);
 
   auto b3 = bufs;
-  const auto rar = ring_all_reduce_mean(spans_of(b3), 100.0);
+  const auto rar =
+      collective_mean(Topology::kRingAllReduce, spans_of(b3), 100.0);
   EXPECT_EQ(rar.bottleneck_bytes, 2 * size_bytes * (k - 1) / k);
   // RAR is bandwidth-optimal: strictly less per-worker traffic than AR.
   EXPECT_LT(rar.bottleneck_bytes, ar.bottleneck_bytes);
@@ -216,7 +214,7 @@ TEST(Collective, ByteAccountingMatchesFormulas) {
 TEST(Collective, SingleWorkerIsIdentity) {
   std::vector<float> buf{1.0f, 2.0f};
   std::vector<std::span<float>> spans{std::span<float>(buf)};
-  const auto r = ring_all_reduce_mean(spans, 100.0);
+  const auto r = collective_mean(Topology::kRingAllReduce, spans, 100.0);
   EXPECT_DOUBLE_EQ(r.seconds, 0.0);
   EXPECT_FLOAT_EQ(buf[0], 1.0f);
 }
@@ -225,9 +223,11 @@ TEST(Collective, ValidatesBuffers) {
   std::vector<float> a{1.0f}, b{1.0f, 2.0f};
   std::vector<std::span<float>> mismatched{std::span<float>(a),
                                            std::span<float>(b)};
-  EXPECT_THROW(all_reduce_mean(mismatched, 1.0), std::invalid_argument);
+  EXPECT_THROW(collective_mean(Topology::kAllReduce, mismatched, 1.0),
+               std::invalid_argument);
   std::vector<std::span<float>> none;
-  EXPECT_THROW(ps_all_reduce_mean(none, 1.0), std::invalid_argument);
+  EXPECT_THROW(collective_mean(Topology::kParameterServer, none, 1.0),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ secure agg --
@@ -408,6 +408,23 @@ std::vector<float> sparse_floats(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// What a payload decodes to through `codec` as one whole buffer: the
+// payload itself for the lossless codecs, its blockwise reconstruction for
+// q8/q4.  Chunk sizes below are whole multiples of the 256-float quant
+// block, so chunking the frame must not change it.
+std::vector<float> codec_round_trip(const char* codec_name,
+                                    const std::vector<float>& payload) {
+  const Codec* codec = codec_by_name(codec_name);
+  const std::span<const std::uint8_t> raw(
+      reinterpret_cast<const std::uint8_t*>(payload.data()),
+      payload.size() * sizeof(float));
+  const auto bytes =
+      test::decompressed(*codec, test::compressed(*codec, raw), raw.size());
+  std::vector<float> out(payload.size());
+  std::memcpy(out.data(), bytes.data(), bytes.size());
+  return out;
+}
+
 class ChunkedMessage : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChunkedMessage, ChunkedAndWholeBufferEncodesRoundTripIdentically) {
@@ -420,12 +437,13 @@ TEST_P(ChunkedMessage, ChunkedAndWholeBufferEncodesRoundTripIdentically) {
   m.metadata["x"] = 1.5;
 
   set_wire_chunk_bytes(0);  // whole buffer, one chunk
-  const auto whole = m.encode();
+  const auto whole = test::encoded(m);
   set_wire_chunk_bytes(4096);  // ~49 chunks
-  const auto chunked = m.encode();
+  const auto chunked = test::encoded(m);
 
-  EXPECT_EQ(Message::decode(whole).payload, m.payload);
-  EXPECT_EQ(Message::decode(chunked).payload, m.payload);
+  const auto expected = codec_round_trip(GetParam(), m.payload);
+  EXPECT_EQ(test::decoded(whole).payload, expected);
+  EXPECT_EQ(test::decoded(chunked).payload, expected);
   EXPECT_EQ(chunked.size(), m.encoded_size());
 
   // For the identity codec the chunk data is the raw payload either way, so
@@ -456,14 +474,14 @@ TEST_P(ChunkedMessage, ParallelEncodeDecodeBitIdenticalToSerial) {
 
   Message out;
   Message::decode_into(parallel, out, &pool);
-  EXPECT_EQ(out.payload, m.payload);
+  EXPECT_EQ(out.payload, codec_round_trip(GetParam(), m.payload));
 
   // Scratch reuse: a second encode of a different payload through the same
   // scratch must still be exact.
   m.payload = sparse_floats(10000, 29);
   const auto again = m.encode_into(parallel_scratch, &pool);
   Message::decode_into(again, out, nullptr);
-  EXPECT_EQ(out.payload, m.payload);
+  EXPECT_EQ(out.payload, codec_round_trip(GetParam(), m.payload));
 }
 
 TEST_P(ChunkedMessage, EncodedSizeIsExactWithoutEncoding) {
@@ -476,14 +494,14 @@ TEST_P(ChunkedMessage, EncodedSizeIsExactWithoutEncoding) {
       m.codec = GetParam();
       m.payload = sparse_floats(n, 31 + n);
       m.metadata["k"] = 2.0;
-      EXPECT_EQ(m.encoded_size(), m.encode().size())
+      EXPECT_EQ(m.encoded_size(), test::encoded(m).size())
           << GetParam() << " n=" << n << " chunk=" << chunk;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, ChunkedMessage,
-                         ::testing::Values("", "rle0", "lzss"));
+                         ::testing::Values("", "rle0", "q8", "q4"));
 
 TEST(Message, PayloadViewEncodesIdenticallyToOwnedPayload) {
   const auto data = sparse_floats(5000, 41);
@@ -493,26 +511,26 @@ TEST(Message, PayloadViewEncodesIdenticallyToOwnedPayload) {
   owned.payload = data;
   borrowed.payload_view = data;  // no copy
   EXPECT_TRUE(borrowed.payload.empty());
-  const auto a = owned.encode();
-  const auto b = borrowed.encode();
+  const auto a = test::encoded(owned);
+  const auto b = test::encoded(borrowed);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(Message::decode(b).payload, data);
+  EXPECT_EQ(test::decoded(b).payload, data);
 }
 
-TEST(SimLink, ZeroCopyTransmitMatchesCopyingTransmit) {
+TEST(SimLink, RepeatedTransmitReusesBuffersExactly) {
   const auto data = sparse_floats(4000, 47);
   Message m;
   m.codec = "rle0";
   m.payload_view = data;
-  SimLink a("copying", 1.0), b("zero-copy", 1.0);
-  const Message via_copy = a.transmit(m);
-  Message via_reuse;
-  b.transmit(m, via_reuse);
-  b.transmit(m, via_reuse);  // reuse the scratch and payload buffers
-  EXPECT_EQ(via_copy.payload, data);
-  EXPECT_EQ(via_reuse.payload, data);
-  EXPECT_EQ(a.stats().wire_bytes * 2, b.stats().wire_bytes);
-  EXPECT_EQ(a.stats().payload_bytes * 2, b.stats().payload_bytes);
+  SimLink once("once", 1.0), twice("twice", 1.0);
+  Message first, reused;
+  once.transmit(m, first);
+  twice.transmit(m, reused);
+  twice.transmit(m, reused);  // reuse the scratch and payload buffers
+  EXPECT_EQ(first.payload, data);
+  EXPECT_EQ(reused.payload, data);
+  EXPECT_EQ(once.stats().wire_bytes * 2, twice.stats().wire_bytes);
+  EXPECT_EQ(once.stats().payload_bytes * 2, twice.stats().payload_bytes);
 }
 
 // Parallel collectives must match serial bit-for-bit, including when K does
@@ -562,13 +580,13 @@ std::vector<std::uint8_t> encoded_update(const char* codec_name) {
   m.codec = codec_name;
   m.metadata["train_loss"] = 1.5;
   m.payload = sparse_floats(2048, 91);
-  return m.encode();
+  return test::encoded(m);
 }
 
 TEST(Message, FlippedHeaderMagicRejected) {
   auto wire = encoded_update("");
   wire[1] ^= 0x10;  // inside the 4-byte magic
-  EXPECT_THROW(Message::decode(wire), std::runtime_error);
+  EXPECT_THROW(test::decoded(wire), std::runtime_error);
 }
 
 TEST(Message, FlippedChunkLengthTableRejected) {
@@ -611,6 +629,103 @@ TEST(Message, FlippedCrcFieldRejected) {
     EXPECT_THROW(Message::decode_into(corrupted, out, nullptr),
                  std::runtime_error)
         << "codec=" << codec;
+  }
+}
+
+// decode_into and validate_wire share one PHO2 frame reader, so a hostile
+// frame must get the same verdict from both: truncated anywhere, both
+// throw; one bit flipped ahead of the chunk bytes (header, metadata, chunk
+// table — none of it CRC-covered), both throw or both accept the same
+// header fields.
+bool accepted(const std::function<void()>& receive) {
+  try {
+    receive();
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(Message, HostileFramesGetOneVerdictFromDecodeAndValidate) {
+  ChunkGuard guard;
+  set_wire_chunk_bytes(1024);
+  for (const char* codec : {"", "rle0", "q8", "q4"}) {
+    Message m;
+    m.type = MessageType::kClientUpdate;
+    m.round = 12;
+    m.sender = 3;
+    m.codec = codec;
+    m.metadata["train_loss"] = 2.25;
+    m.metadata["tokens"] = 4096.0;
+    m.payload = sparse_floats(600, 77);  // chunks of 256, 256 and 88 floats
+    WireScratch scratch;
+    const auto encoded = m.encode_into(scratch);
+    const std::vector<std::uint8_t> wire(encoded.begin(), encoded.end());
+    const std::size_t chunk_bytes_at = scratch.payload_offset;
+
+    Message decoded, validated;
+    WireView view;
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      const std::span<const std::uint8_t> torn(wire.data(), cut);
+      ASSERT_THROW(Message::decode_into(torn, decoded), std::runtime_error)
+          << "codec=" << codec << " cut=" << cut;
+      ASSERT_THROW(Message::validate_wire(torn, validated, view),
+                   std::runtime_error)
+          << "codec=" << codec << " cut=" << cut;
+    }
+
+    for (std::size_t byte = 0; byte < chunk_bytes_at; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = wire;
+        flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        const bool decode_ok =
+            accepted([&] { Message::decode_into(flipped, decoded); });
+        const bool validate_ok = accepted(
+            [&] { Message::validate_wire(flipped, validated, view); });
+        ASSERT_EQ(decode_ok, validate_ok)
+            << "codec=" << codec << " byte=" << byte << " bit=" << bit;
+        if (!decode_ok) continue;
+        EXPECT_EQ(decoded.type, validated.type);
+        EXPECT_EQ(decoded.round, validated.round);
+        EXPECT_EQ(decoded.sender, validated.sender);
+        EXPECT_EQ(decoded.codec, validated.codec);
+        EXPECT_EQ(decoded.metadata, validated.metadata);
+        EXPECT_EQ(decoded.payload.size(), view.elems);
+      }
+    }
+  }
+}
+
+// Codec::raw_size is the one output size decompress_into accepts, on
+// hostile chunks too: validate_wire's verdict rests on it.
+TEST(Codec, RawSizeIsTheSizeDecompressAcceptsOnMutatedChunks) {
+  const auto floats = sparse_floats(300, 5);
+  const std::span<const std::uint8_t> raw(
+      reinterpret_cast<const std::uint8_t*>(floats.data()),
+      floats.size() * sizeof(float));
+  std::vector<std::uint8_t> out(raw.size());
+  for (const char* name : {"", "rle0", "q8", "q4"}) {
+    const Codec* codec = codec_by_name(name);
+    const auto chunk = test::compressed(*codec, raw);
+    const auto agree = [&](std::span<const std::uint8_t> mutated) {
+      std::size_t size = 0;
+      const bool sized =
+          accepted([&] { size = codec->raw_size(mutated); });
+      const bool decoded =
+          accepted([&] { codec->decompress_into(mutated, out); });
+      return decoded == (sized && size == out.size());
+    };
+    for (std::size_t cut = 0; cut < chunk.size(); ++cut) {
+      ASSERT_TRUE(agree({chunk.data(), cut})) << name << " cut=" << cut;
+    }
+    for (std::size_t byte = 0; byte < chunk.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = chunk;
+        flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        ASSERT_TRUE(agree(flipped))
+            << name << " byte=" << byte << " bit=" << bit;
+      }
+    }
   }
 }
 

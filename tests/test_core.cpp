@@ -14,6 +14,7 @@
 #include "core/server_opt.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
+#include "test_helpers.hpp"
 
 namespace photon {
 namespace {
@@ -174,12 +175,12 @@ TEST(PostProcess, StagesRunInOrder) {
   PostProcessPipeline pipe;
   pipe.add(std::make_unique<ClipStage>(1.0));
   pipe.add(std::make_unique<DpNoiseStage>(0.1, 1.0, 3));
-  pipe.add(std::make_unique<CompressStage>("lzss"));
+  pipe.add(std::make_unique<CompressStage>("rle0"));
   EXPECT_EQ(pipe.num_stages(), 3u);
   std::vector<float> update{10.0f, 0.0f};
   const auto report = pipe.run(update);
   EXPECT_TRUE(report.clipped);
-  EXPECT_EQ(report.codec, "lzss");
+  EXPECT_EQ(report.codec, "rle0");
   // Clip happened before noise: ||update|| ~ 1 + small noise, << 10.
   EXPECT_LT(std::hypot(update[0], update[1]), 2.0);
 }
@@ -226,9 +227,8 @@ TEST(Metrics, HistoryQueries) {
 TEST(CheckpointStore, MemoryRingKeepsLastN) {
   CheckpointStore store({}, /*keep_last=*/2);
   const std::vector<float> p{1.0f, 2.0f};
-  store.save(0, p);
-  store.save(1, p);
-  store.save(2, p);
+  Checkpoint meta;
+  for (meta.round = 0; meta.round < 3; ++meta.round) store.save(meta, p, {});
   EXPECT_EQ(store.num_in_memory(), 2u);
   EXPECT_EQ(store.latest()->round, 2u);
   EXPECT_FALSE(store.at_round(0).has_value());
@@ -241,8 +241,12 @@ TEST(CheckpointStore, DiskRoundTrip) {
   std::filesystem::remove_all(dir);
   {
     CheckpointStore store(dir, 1);
-    store.save(0, std::vector<float>{1.5f, -2.5f}, 33.0);
-    store.save(7, std::vector<float>{9.0f}, 21.0);
+    Checkpoint meta;
+    meta.eval_perplexity = 33.0;
+    store.save(meta, std::vector<float>{1.5f, -2.5f}, {});
+    meta.round = 7;
+    meta.eval_perplexity = 21.0;
+    store.save(meta, std::vector<float>{9.0f}, {});
   }
   CheckpointStore reader(dir, 1);
   // Memory is empty in the new store; round 0 must come from disk.
@@ -267,7 +271,7 @@ TEST(CheckpointStore, RecoveryMetadataRoundTripsThroughDisk) {
   ckpt.server_opt_state = {0xAB, 0xCD, 0x01};
   {
     CheckpointStore store(dir, 1);
-    store.save(ckpt);
+    test::save(store, ckpt);
   }
   CheckpointStore reader(dir, 1);
   const auto back = reader.latest();
@@ -397,8 +401,8 @@ TEST(CheckpointStore, StreamedSaveMatchesRecordedLayout) {
   std::filesystem::remove_all(dir);
   {
     CheckpointStore store(dir);
-    store.save(full_checkpoint());
-    store.save(plain_sync_checkpoint());
+    test::save(store, full_checkpoint());
+    test::save(store, plain_sync_checkpoint());
   }
   EXPECT_EQ(file_crc(dir / "ckpt_9.bin"), 0x89545111u);
   EXPECT_EQ(file_crc(dir / "ckpt_3.bin"), 0x0801ad4eu);
@@ -432,10 +436,10 @@ TEST(CheckpointStore, DiskStoreKeepsNoMemorySnapshots) {
     Checkpoint c = r % 2 == 0 ? full_checkpoint() : plain_sync_checkpoint();
     c.round = r;
     c.params[r] = static_cast<float>(r);
-    store.save(c);
+    test::save(store, c);
     saved.push_back(std::move(c));
   }
-  // The borrowed-buffer save writes the same file as save(Checkpoint).
+  // The save reads only the borrowed bulk buffers, never meta's own.
   const Checkpoint last = full_checkpoint();
   const std::vector<std::span<const float>> residuals(
       last.client_ef_residuals.begin(), last.client_ef_residuals.end());
@@ -487,11 +491,13 @@ TEST(CheckpointStore, JournalTracksBeginAndCommitAcrossProcesses) {
   {
     CheckpointStore store(dir, 2);
     EXPECT_EQ(store.journal_last_committed(), -1);
+    Checkpoint meta;
     store.journal_begin(0);
-    store.save(0, std::vector<float>{1.0f});
+    store.save(meta, std::vector<float>{1.0f}, {});
     store.journal_commit(0);
     store.journal_begin(1);
-    store.save(1, std::vector<float>{2.0f});
+    meta.round = 1;
+    store.save(meta, std::vector<float>{2.0f}, {});
     store.journal_commit(1);
     store.journal_begin(2);  // crash before round 2's commit
   }

@@ -68,7 +68,8 @@ class TrainedModelProbes : public ::testing::Test {
       model_->train_step_fb(b.tokens, b.targets, 4,
                             probe_model_config().seq_len);
       clip_grad_norm(model_->grads(), 1.0);
-      opt.step(model_->params(), model_->grads(), 5e-3f);
+      opt.step(kernels::default_context(), model_->params(), model_->grads(),
+               5e-3f);
     }
   }
   static void TearDownTestSuite() {

@@ -58,7 +58,8 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
   GptModel global(tiny_model(), 99);
   const std::vector<float> before(global.params().begin(),
                                   global.params().end());
-  const ClientUpdate up = client.run_round(before, 0, 4, 0);
+  ClientUpdate up;
+  client.run_round(before, 0, 4, 0, up);
   EXPECT_EQ(up.delta.size(), before.size());
   // theta_local = theta_global - delta; the client checkpoint holds it.
   const auto local = client.local_checkpoint();
@@ -73,9 +74,8 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
 TEST(LLMClient, TrainingActuallyMovesParameters) {
   LLMClient client(0, tiny_client_config(), tiny_stream(2), 5);
   GptModel global(tiny_model(), 7);
-  const ClientUpdate up = client.run_round(
-      std::vector<float>(global.params().begin(), global.params().end()), 0,
-      8, 0);
+  ClientUpdate up;
+  client.run_round(global.params(), 0, 8, 0, up);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;
   EXPECT_GT(std::sqrt(norm), 1e-4);
@@ -91,8 +91,9 @@ TEST(LLMClient, StatelessRoundsAreReproducibleFromSameParams) {
                                   global.params().end());
   LLMClient a(0, cfg, tiny_stream(42), 13);
   LLMClient b(0, cfg, tiny_stream(42), 13);
-  const ClientUpdate ua = a.run_round(params, 0, 4, 0);
-  const ClientUpdate ub = b.run_round(params, 0, 4, 0);
+  ClientUpdate ua, ub;
+  a.run_round(params, 0, 4, 0, ua);
+  b.run_round(params, 0, 4, 0, ub);
   EXPECT_EQ(ua.delta, ub.delta);
 }
 
@@ -111,10 +112,11 @@ TEST(LLMClient, StatefulOptimizerChangesSecondRound) {
   LLMClient stateless(0, stateless_cfg, tiny_stream(4), 17);
   LLMClient stateful(0, stateful_cfg, tiny_stream(4), 17);
 
-  (void)stateless.run_round(params, 0, 4, 0);
-  (void)stateful.run_round(params, 0, 4, 0);
-  const ClientUpdate u1 = stateless.run_round(params, 1, 4, 4);
-  const ClientUpdate u2 = stateful.run_round(params, 1, 4, 4);
+  ClientUpdate u1, u2;
+  stateless.run_round(params, 0, 4, 0, u1);
+  stateful.run_round(params, 0, 4, 0, u2);
+  stateless.run_round(params, 1, 4, 4, u1);
+  stateful.run_round(params, 1, 4, 4, u2);
   EXPECT_NE(u1.delta, u2.delta);
 }
 
@@ -123,23 +125,21 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
   cfg.sub_nodes = 2;
   LLMClient client(0, cfg, tiny_stream(6), 19);
   GptModel global(tiny_model(), 23);
-  const ClientUpdate up = client.run_round(
-      std::vector<float>(global.params().begin(), global.params().end()), 0,
-      3, 0);
+  ClientUpdate up;
+  client.run_round(global.params(), 0, 3, 0, up);
   // Two nodes, 3 steps, batch 2, seq 16 -> 2 * 3 * 2 * 16 tokens.
   EXPECT_EQ(up.tokens, 2u * 3u * 2u * 16u);
 }
 
 TEST(LLMClient, PostProcessingCodecPropagates) {
   auto cfg = tiny_client_config();
-  cfg.link_codec = "lzss";
+  cfg.link_codec = "rle0";
   cfg.clip_update_norm = 1e-3;  // aggressive clip -> report.clipped
   LLMClient client(0, cfg, tiny_stream(7), 23);
   GptModel global(tiny_model(), 29);
-  const ClientUpdate up = client.run_round(
-      std::vector<float>(global.params().begin(), global.params().end()), 0,
-      4, 0);
-  EXPECT_EQ(up.post.codec, "lzss");
+  ClientUpdate up;
+  client.run_round(global.params(), 0, 4, 0, up);
+  EXPECT_EQ(up.post.codec, "rle0");
   EXPECT_TRUE(up.post.clipped);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;

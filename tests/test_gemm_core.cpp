@@ -197,14 +197,15 @@ TEST(GemmCore, AttentionMatchesRowKernels) {
 }
 
 // The embedding scatter-add dispatches through the context's SIMD table
-// like every other kernel, and its legacy overload agrees with it.
+// like every other kernel, and every context agrees with the serial one.
 TEST(GemmCore, EmbeddingBackwardUsesContextTable) {
   constexpr int kBt = 9, kC = 37, kV = 5;
   const std::vector<int> tokens{0, 3, 3, 1, 4, 0, 3, 2, 2};
   const auto dout = gaussian(static_cast<std::size_t>(kBt) * kC, 15);
   const auto table0 = gaussian(static_cast<std::size_t>(kV) * kC, 16);
   auto want = table0;
-  k::embedding_backward(want.data(), tokens.data(), dout.data(), kBt, kC);
+  k::embedding_backward(k::KernelContext::serial(), want.data(),
+                        tokens.data(), dout.data(), kBt, kC);
   for_each_context([&](const k::KernelContext& ctx) {
     auto got = table0;
     k::embedding_backward(ctx, got.data(), tokens.data(), dout.data(), kBt,

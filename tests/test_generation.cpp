@@ -107,7 +107,7 @@ TEST(Generation, TrainedModelContinuesTheChainPlausibly) {
     model.zero_grad();
     model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
     clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
   }
 
   Rng rng(11);

@@ -180,7 +180,7 @@ TEST(GptModel, LearnsMarkovCorpus) {
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, batch, c.seq_len);
     clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
     if (step == 0) first_loss = loss;
     last_loss = loss;
   }

@@ -19,7 +19,7 @@ TEST(AdamW, FirstStepClosedForm) {
   AdamW opt(2, cfg);
   std::vector<float> params{1.0f, -2.0f};
   const std::vector<float> grads{0.5f, -0.25f};
-  opt.step(params, grads, 0.1f);
+  opt.step(kernels::default_context(), params, grads, 0.1f);
   const float e = cfg.eps;
   EXPECT_NEAR(params[0], 1.0f - 0.1f * (0.5f / (0.5f + e) + 0.1f * 1.0f), 1e-6);
   EXPECT_NEAR(params[1], -2.0f - 0.1f * (-0.25f / (0.25f + e) + 0.1f * -2.0f),
@@ -30,7 +30,8 @@ TEST(AdamW, FirstStepClosedForm) {
 TEST(AdamW, ResetClearsState) {
   AdamW opt(2);
   std::vector<float> params{0.0f, 0.0f};
-  opt.step(params, std::vector<float>{1.0f, 1.0f}, 0.1f);
+  opt.step(kernels::default_context(), params,
+           std::vector<float>{1.0f, 1.0f}, 0.1f);
   opt.reset();
   EXPECT_EQ(opt.step_count(), 0u);
   EXPECT_FLOAT_EQ(opt.exp_avg()[0], 0.0f);
@@ -42,18 +43,19 @@ TEST(AdamW, StatelessRestartMatchesFreshOptimizer) {
   // property Photon's stateless rounds depend on.
   AdamW a(1), b(1);
   std::vector<float> pa{1.0f}, pb{1.0f};
-  a.step(pa, std::vector<float>{0.3f}, 0.01f);
+  a.step(kernels::default_context(), pa, std::vector<float>{0.3f}, 0.01f);
   a.reset();
   pa[0] = 1.0f;
-  a.step(pa, std::vector<float>{0.7f}, 0.01f);
-  b.step(pb, std::vector<float>{0.7f}, 0.01f);
+  a.step(kernels::default_context(), pa, std::vector<float>{0.7f}, 0.01f);
+  b.step(kernels::default_context(), pb, std::vector<float>{0.7f}, 0.01f);
   EXPECT_FLOAT_EQ(pa[0], pb[0]);
 }
 
 TEST(AdamW, SizeMismatchThrows) {
   AdamW opt(3);
   std::vector<float> params{1.0f, 2.0f};
-  EXPECT_THROW(opt.step(params, std::vector<float>{1.0f, 1.0f}, 0.1f),
+  EXPECT_THROW(opt.step(kernels::default_context(), params,
+                        std::vector<float>{1.0f, 1.0f}, 0.1f),
                std::invalid_argument);
 }
 
@@ -63,7 +65,7 @@ TEST(AdamW, ConvergesOnQuadratic) {
   std::vector<float> x{0.0f};
   for (int i = 0; i < 500; ++i) {
     const std::vector<float> g{2.0f * (x[0] - 3.0f)};
-    opt.step(x, g, 0.05f);
+    opt.step(kernels::default_context(), x, g, 0.05f);
   }
   EXPECT_NEAR(x[0], 3.0f, 0.05f);
 }
@@ -72,22 +74,22 @@ TEST(SgdNesterov, MatchesTorchFormula) {
   // torch SGD(nesterov): first step buf=g, update=g+mu*buf=(1+mu)g.
   SgdNesterov opt(1, 0.9f);
   std::vector<float> params{1.0f};
-  opt.step(params, std::vector<float>{0.5f}, 0.1f);
+  opt.step(kernels::default_context(), params, std::vector<float>{0.5f}, 0.1f);
   EXPECT_NEAR(params[0], 1.0f - 0.1f * (0.5f + 0.9f * 0.5f), 1e-6);
   // second step: buf=0.9*0.5+g, update=g+0.9*buf.
   const float buf2 = 0.9f * 0.5f + 0.2f;
   const float expected = params[0] - 0.1f * (0.2f + 0.9f * buf2);
-  opt.step(params, std::vector<float>{0.2f}, 0.1f);
+  opt.step(kernels::default_context(), params, std::vector<float>{0.2f}, 0.1f);
   EXPECT_NEAR(params[0], expected, 1e-6);
 }
 
 TEST(SgdNesterov, ResetRestartsMomentum) {
   SgdNesterov opt(1, 0.9f);
   std::vector<float> p{0.0f};
-  opt.step(p, std::vector<float>{1.0f}, 0.1f);
+  opt.step(kernels::default_context(), p, std::vector<float>{1.0f}, 0.1f);
   opt.reset();
   p[0] = 0.0f;
-  opt.step(p, std::vector<float>{1.0f}, 0.1f);
+  opt.step(kernels::default_context(), p, std::vector<float>{1.0f}, 0.1f);
   EXPECT_NEAR(p[0], -0.1f * 1.9f, 1e-6);
 }
 

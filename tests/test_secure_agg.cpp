@@ -28,6 +28,7 @@
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
+#include "test_helpers.hpp"
 
 namespace photon {
 namespace {
@@ -532,7 +533,7 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
   {
     CheckpointStore store(base);
     store.journal_begin(0);
-    store.save(std::move(ckpt));
+    test::save(store, ckpt);
     store.journal_commit(0);
   }
 
@@ -590,7 +591,7 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
     ckpt.privacy_state.wave_counter = 42;
     ckpt.privacy_state.shares_reconstructed_total = 5;
     ckpt.privacy_state.epsilon = 3.25;
-    store.save(std::move(ckpt));
+    test::save(store, ckpt);
   }
   CheckpointStore fresh(base);
   const auto back = fresh.latest();
@@ -608,7 +609,7 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
     Checkpoint plain;
     plain.round = 10;
     plain.params = {3.0f};
-    store.save(std::move(plain));
+    test::save(store, plain);
   }
   CheckpointStore fresh2(base);
   const auto plain_back = fresh2.latest();

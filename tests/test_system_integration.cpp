@@ -72,7 +72,7 @@ TEST(RunnerIntegration, LinkCodecExercisedThroughTheStack) {
   rc.eval_every = 2;
   rc.eval_batches = 1;
   rc.eval_batch_size = 2;
-  rc.link_codec = "lzss";
+  rc.link_codec = "rle0";
   rc.warmup_steps = 2;
   rc.seed = 9;
   PhotonRunner runner(rc);
@@ -101,7 +101,7 @@ TEST(TextPipeline, ByteTokenizedTextTrainsTheModel) {
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
     clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
     if (step == 0) first = loss;
     last = loss;
   }
@@ -168,7 +168,7 @@ TEST(Corpus, SeparateStyleStreamsYieldDifferentPerplexityUnderOneModel) {
     model.zero_grad();
     model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
     clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
   }
   CorpusStreamSource own_eval(own, 99), other_eval(other, 99);
   const Batch b_own = own_eval.next_batch(8, mc.seq_len);

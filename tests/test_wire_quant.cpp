@@ -94,6 +94,7 @@ TEST(WireQuant, CompressionRatioMatchesLayout) {
     codec->compress_into(as_bytes(x), wire);
     EXPECT_EQ(wire.size(),
               wire_quant::encoded_bytes(x.size(), codec->quant_bits()));
+    EXPECT_EQ(codec->raw_size(wire), x.size() * sizeof(float)) << name;
     const double ratio =
         static_cast<double>(x.size() * sizeof(float)) /
         static_cast<double>(wire.size());
@@ -121,6 +122,7 @@ TEST(WireQuant, UnquantizableInputsFallBackToRawBitExact) {
     const std::vector<std::uint8_t> raw = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
     std::vector<std::uint8_t> wire;
     codec->compress_into(raw, wire);
+    EXPECT_EQ(codec->raw_size(wire), raw.size());
     std::vector<std::uint8_t> back(raw.size());
     codec->decompress_into(wire, back);
     EXPECT_EQ(raw, back);
@@ -141,6 +143,7 @@ TEST(WireQuant, UnquantizableInputsFallBackToRawBitExact) {
   {
     std::vector<std::uint8_t> wire;
     codec->compress_into({}, wire);
+    EXPECT_EQ(codec->raw_size(wire), 0u);
     std::vector<std::uint8_t> back;
     codec->decompress_into(wire, back);
     EXPECT_TRUE(back.empty());
@@ -160,7 +163,8 @@ TEST(WireQuant, ResidualMatchesWireRoundTripExactly) {
     Message m;
     m.codec = name;
     m.payload = x;
-    const auto wire = m.encode();
+    WireScratch scratch;
+    const auto wire = m.encode_into(scratch);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &global_pool()}) {
       Message out;
       Message::decode_into(wire, out, pool);
@@ -184,7 +188,8 @@ TEST(WireQuant, ResidualIsDeterministicAcrossRepeatedCalls) {
   wire_quant::residual_of(x.data(), a.data(), x.size(), 8);
   wire_quant::residual_of(x.data(), b.data(), x.size(), 8);
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
-  EXPECT_GT(kernels::l2_norm(a.data(), a.size()), 0.0);
+  EXPECT_GT(kernels::l2_norm(kernels::default_context(), a.data(), a.size()),
+            0.0);
 }
 
 // ---------------------------------------------------- streamed aggregation --
@@ -203,7 +208,8 @@ TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
     Message m;
     m.codec = "q8";
     m.payload_view = raw.back();
-    const auto wire = m.encode();
+    WireScratch scratch;
+    const auto wire = m.encode_into(scratch);
     Message header;
     Message::validate_wire(wire, header, views[k], nullptr);
     ASSERT_TRUE(header.payload.empty());
@@ -222,7 +228,7 @@ TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
     }
     spans.emplace_back(mats[k]);
   }
-  ps_all_reduce_mean(spans, 1250.0);
+  collective_mean(Topology::kParameterServer, spans, 1250.0);
 
   // Streamed: per chunk, dequantize each survivor and fold into the mean.
   std::vector<float> streamed(kN);
@@ -429,7 +435,8 @@ TEST(ErrorFeedback, ResidualSurvivesCrashRecoveryBitExactly) {
   auto ref = build_q_aggregator(config_for("ref"), "q8");
   inject(*ref);
   for (int r = 0; r < 5; ++r) ref->run_round();
-  EXPECT_GT(kernels::l2_norm(ref->client(0).ef_residual().data(),
+  EXPECT_GT(kernels::l2_norm(kernels::default_context(),
+                             ref->client(0).ef_residual().data(),
                              ref->client(0).ef_residual().size()),
             0.0);
 
